@@ -203,6 +203,11 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+#: Rows converted to Python floats at a time: whole-trace tolist() would
+#: hold every value of the trace as a Python object at once.
+_TRACE_CHUNK = 256
+
+
 def write_trace_csv(result, path):
     n = result.config.plant.n
     tr = result.trace
@@ -215,19 +220,18 @@ def write_trace_csv(result, path):
         + [f"theta_hat{i + 1}" for i in range(n)]
         + ["u", "Eu", "Ed"]
     )
+    keys = ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "u", "Eu", "Ed")
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        for k in range(tr["t"].shape[0]):
-            row = (
-                [_fmt(tr["t"][k])]
-                + [_fmt(v) for v in tr["x"][k]]
-                + [_fmt(v) for v in tr["x_r"][k]]
-                + [_fmt(tr["e"][k]), _fmt(tr["edot_hat"][k])]
-                + [_fmt(v) for v in tr["theta"][k]]
-                + [_fmt(v) for v in tr["theta_hat"][k]]
-                + [_fmt(tr["u"][k]), str(int(tr["Eu"][k])), str(int(tr["Ed"][k]))]
-            )
-            f.write(",".join(row) + "\n")
+        for a in range(0, tr["t"].shape[0], _TRACE_CHUNK):
+            chunk = [tr[key][a:a + _TRACE_CHUNK].tolist() for key in keys]
+            lines = []
+            for t, x, x_r, e, edot, theta, theta_hat, u, eu, ed in zip(*chunk):
+                floats = [t, *x, *x_r, e, edot, *theta, *theta_hat, u]
+                # same text as _fmt; the event flags are ints
+                lines.append(",".join([format(v, ".17g") for v in floats])
+                             + f",{eu},{ed}\n")
+            f.writelines(lines)
 
 
 def _config_echo(cfg):

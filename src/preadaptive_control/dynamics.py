@@ -9,6 +9,7 @@ and the reference model is the ideal closed loop
     xr' = Ar xr + (B1r + B2r) r,   Ar = A - B K,  B2r = k0 B.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,11 +177,23 @@ def rk4_step(derivative_fn, state, t, dt):
     return out
 
 
-def check_bounded(state, t):
-    """Divergence guard: abort loudly instead of propagating huge values."""
-    mags = np.abs(state)
-    if np.any(mags > DIVERGENCE_LIMIT):
-        bad = int(np.argmax(mags))
+def check_bounded(state, t, bounded=None):
+    """Divergence guard: abort loudly instead of propagating NaNs or huge values.
+
+    Every component of ``state`` (any sequence of floats) must be finite, and
+    the first ``bounded`` components (all by default) must stay within
+    DIVERGENCE_LIMIT.  A non-finite component is reported by its first index;
+    otherwise the largest bounded one is, with the time ``t``.
+    """
+    if all(abs(v) <= DIVERGENCE_LIMIT for v in state):  # False on NaN
+        return
+    for i, v in enumerate(state):
+        if not math.isfinite(v):
+            raise DivergenceError("non-finite state", component=i)
+    mags = [abs(v) for v in state[:bounded]]
+    big = max(mags, default=0.0)
+    if big > DIVERGENCE_LIMIT:
+        bad = mags.index(big)
         raise DivergenceError(
             f"state component {bad} exceeded {DIVERGENCE_LIMIT:g} at t={t}",
             t=t,

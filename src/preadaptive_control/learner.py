@@ -106,12 +106,20 @@ class SensitivityState:
 
 
 def accumulate_cost(sens, e, S_e_row_i, dt):
-    """Left-rectangle accumulation of E and dE/dtheta_I; sign(0) counts as 0."""
+    """Left-rectangle accumulation of E and dE/dtheta_I; sign(0) counts as 0.
+
+    ``S_e_row_i`` is any sequence of floats (empty accumulates E alone); the
+    gradient is updated in place one float at a time, which for small n is
+    cheaper than building arrays every step.
+    """
     if not sens.active:
         raise LearnerError("accumulate_cost on inactive sensitivity state")
     sens.E_acc += abs(e) * dt
     if e != 0.0:
-        sens.dE_dthI += np.sign(e) * S_e_row_i * dt
+        sign = 1.0 if e > 0.0 else -1.0
+        grad = sens.dE_dthI
+        for c, s in enumerate(S_e_row_i):
+            grad[c] += sign * s * dt
     return sens
 
 

@@ -8,25 +8,15 @@ and finally advances the whole coupled state (plant, reference, estimate,
 sensitivity blocks) with one RK4 step.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is normally available
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
-
 from .attention import AttentionConfig, AttentionState, detect_events, update_velocity
 from .controller import ControllerConfig, control_input, lqr_gain, solve_lyapunov
 from .dynamics import (
+    DIVERGENCE_LIMIT,
     PlantConfig,
     ReferenceConfig,
     ThetaSchedule,
@@ -81,9 +71,16 @@ class RunConfig:
             raise ConfigError("schedule dimension does not match the plant")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        steps = self.schedule.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-6 * max(1.0, steps):
-            raise ConfigError("horizon must be a multiple of dt")
+        # the run samples t = k*dt: the horizon and every jump must be grid
+        # points, to a tolerance in steps that does not grow with the horizon
+        for name, when in [("horizon", self.schedule.horizon)] + [
+            ("jump time", tj) for tj in self.schedule.jump_times
+        ]:
+            steps = when / self.dt
+            if abs(steps - round(steps)) > 1e-6:
+                raise ConfigError(
+                    f"{name} {when} is not a multiple of dt {self.dt}"
+                )
         if self.preadapt.learner_enabled and not self.preadapt.enabled:
             raise ConfigError("learner requires preadaptation to be enabled")
         x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
@@ -175,99 +172,119 @@ def default_config(scenario=1, preadapt=None, **overrides):
 
 
 # --------------------------------------------------------------------------
-# jitted inner step (plant + reference + estimate + optional sensitivity)
+# inner step (plant + reference + estimate + optional sensitivity)
+#
+# The state is a Python list of floats: indexing a numpy array boxes a new
+# float64 per element, which used to be most of a step.  The derivative is
+# compiled per closed loop as straight-line code, because at n = 3 a Python
+# loop over the n terms of a sum costs more than the sum itself.  Each sum is
+# written out left to right, in the order of the per-element loops it
+# replaced, with the closed loop's matrices as float literals; the arithmetic
+# is therefore the same IEEE operations in the same order, and traces are
+# bit-identical to those of the earlier array implementation.
 
-@njit(cache=True)
-def _coupled_derivative(y, n, A, B, B1r, Ar, Bsum, K, k0, gamma, PB,
-                        theta, r, with_sens, exact_sens):
-    dy = np.zeros(y.shape[0])
-    x = y[0:n]
-    xr = y[n:2 * n]
-    th = y[2 * n:3 * n]
-    thx = 0.0
-    u = k0 * r
-    for i in range(n):
-        thx += theta[i] * x[i]
-        u -= (K[i] + th[i]) * x[i]
-    for i in range(n):
-        acc = B1r[i] * r + B[i] * (thx + u)
-        for j in range(n):
-            acc += A[i, j] * x[j]
-        dy[i] = acc
-    for i in range(n):
-        acc = Bsum[i] * r
-        for j in range(n):
-            acc += Ar[i, j] * xr[j]
-        dy[n + i] = acc
-    s = 0.0
-    for i in range(n):
-        s += (x[i] - xr[i]) * PB[i]
-    for i in range(n):
-        dy[2 * n + i] = gamma * x[i] * s
+def _coupled_derivative_source(st, with_sens, exact_sens):
+    """Source of ``f(y, theta)``: d/dt of the coupled state for ``st``'s loop.
+
+    ``y`` holds x, x_r, theta_hat and, with sensitivities, S = [S_e; S_th]
+    (2n x n, row-major); ``theta`` is the true parameter.  Both are lists of
+    floats, and ``f`` returns one.
+    """
+    n = st.n
+    R = range(n)
+
+    def c(v):
+        return f"({float(v)!r})"  # repr round-trips every float exactly
+
+    x = [f"x{j}" for j in R]
+    xr = [f"xr{j}" for j in R]
+    th = [f"th{j}" for j in R]
+    S = [[f"S{j}_{k}" for k in R] for j in range(2 * n)] if with_sens else []
+    body = [
+        ", ".join(x + xr + th + [v for row in S for v in row]) + ", = y",
+        "".join(f"t{j}, " for j in R) + "= theta",
+        "thx = 0.0" + "".join(f" + t{j} * {x[j]}" for j in R),
+        f"u = {c(st.k0 * st.r)}"
+        + "".join(f" - ({c(st.K[j])} + {th[j]}) * {x[j]}" for j in R),
+        "s = 0.0" + "".join(f" + ({x[j]} - {xr[j]}) * {c(st.PB[j])}" for j in R),
+    ]
+    dy = [f"{c(st.B1r[i] * st.r)} + {c(st.B[i])} * (thx + u)"
+          + "".join(f" + {c(st.A[i][j])} * {x[j]}" for j in R) for i in R]
+    dy += [c(st.Bsum[i] * st.r) + "".join(f" + {c(st.Ar[i][j])} * {xr[j]}" for j in R)
+           for i in R]
+    dy += [f"{c(st.gamma)} * {x[i]} * s" for i in R]
     if with_sens:
-        # S = [S_e; S_th] stacked row-major, 2n x n; note e_v + x_r = x
-        S = y[3 * n:].reshape(2 * n, n)
-        dS = dy[3 * n:].reshape(2 * n, n)
-        for i in range(n):
-            for c in range(n):
-                acc = 0.0
-                for j in range(n):
-                    a = Ar[i, j]
-                    if exact_sens:
-                        a += B[i] * (theta[j] - th[j])
-                    acc += a * S[j, c]
-                for j in range(n):
-                    acc -= B[i] * x[j] * S[n + j, c]
-                dS[i, c] = acc
-        for i in range(n):
-            for c in range(n):
-                acc = gamma * s * S[i, c]
-                for j in range(n):
-                    acc += gamma * x[i] * PB[j] * S[j, c]
-                dS[n + i, c] = acc
-    return dy
+        # note e_v + x_r = x
+        a = [[c(st.Ar[i][j]) for j in R] for i in R]
+        for i in R:
+            for j in R:
+                if exact_sens:
+                    body.append(f"a{i}_{j} = {a[i][j]} + {c(st.B[i])} * (t{j} - {th[j]})")
+                    a[i][j] = f"a{i}_{j}"
+                body.append(f"bx{i}_{j} = {c(st.B[i])} * {x[j]}")
+                body.append(f"g{i}_{j} = {c(st.gamma)} * {x[i]} * {c(st.PB[j])}")
+        body.append(f"gs = {c(st.gamma)} * s")
+        dy += ["0.0" + "".join(f" + {a[i][j]} * {S[j][k]}" for j in R)
+               + "".join(f" - bx{i}_{j} * {S[n + j][k]}" for j in R)
+               for i in R for k in R]
+        dy += [f"gs * {S[i][k]}" + "".join(f" + g{i}_{j} * {S[j][k]}" for j in R)
+               for i in R for k in R]
+    lines = ["def f(y, theta):"] + [f"    {line}" for line in body]
+    lines.append("    return [" + ",\n            ".join(dy) + "]")
+    return "\n".join(lines) + "\n"
 
 
-@njit(cache=True)
-def _rk4_full_step(y, n, dt, A, B, B1r, Ar, Bsum, K, k0, gamma, PB,
-                   theta, r, with_sens, exact_sens):
-    k1 = _coupled_derivative(y, n, A, B, B1r, Ar, Bsum, K, k0, gamma, PB,
-                             theta, r, with_sens, exact_sens)
-    k2 = _coupled_derivative(y + 0.5 * dt * k1, n, A, B, B1r, Ar, Bsum, K, k0,
-                             gamma, PB, theta, r, with_sens, exact_sens)
-    k3 = _coupled_derivative(y + 0.5 * dt * k2, n, A, B, B1r, Ar, Bsum, K, k0,
-                             gamma, PB, theta, r, with_sens, exact_sens)
-    k4 = _coupled_derivative(y + dt * k3, n, A, B, B1r, Ar, Bsum, K, k0,
-                             gamma, PB, theta, r, with_sens, exact_sens)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_full_step(f, y, theta, dt):
+    h = 0.5 * dt
+    k1 = f(y, theta)
+    k2 = f([a + h * b for a, b in zip(y, k1)], theta)
+    k3 = f([a + h * b for a, b in zip(y, k2)], theta)
+    k4 = f([a + dt * b for a, b in zip(y, k3)], theta)
+    c = dt / 6.0
+    return [a + c * (((p + 2.0 * q) + 2.0 * w) + z)
+            for a, p, q, w, z in zip(y, k1, k2, k3, k4)]
 
 
 class _Stepper:
-    """Precomputed closed-loop data for the jitted RK4 step."""
+    """Closed-loop data, as floats, and the compiled RK4 derivatives."""
 
     def __init__(self, cfg, ctrl, ref):
         self.n = cfg.plant.n
-        self.A = np.ascontiguousarray(cfg.plant.A)
-        self.B = np.ascontiguousarray(cfg.plant.B)
-        self.B1r = np.ascontiguousarray(cfg.plant.B1r)
-        self.Ar = np.ascontiguousarray(ref.Ar)
-        self.Bsum = np.ascontiguousarray(ref.B1r + ref.B2r)
-        self.K = np.ascontiguousarray(ctrl.K[0])
+        self.A = cfg.plant.A.tolist()
+        self.B = cfg.plant.B.tolist()
+        self.B1r = cfg.plant.B1r.tolist()
+        self.Ar = ref.Ar.tolist()
+        self.Bsum = (ref.B1r + ref.B2r).tolist()
+        self.K = ctrl.K[0].tolist()
         self.k0 = float(ctrl.k0)
         self.gamma = float(ctrl.gamma)
-        self.PB = np.ascontiguousarray(ctrl.P @ self.B)
+        self.PB = (ctrl.P @ cfg.plant.B).tolist()
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
+        self._derivative = {}
+        for with_sens in (False, True):
+            for exact_sens in (False, True):
+                namespace = {"inf": math.inf, "nan": math.nan}
+                exec(_coupled_derivative_source(self, with_sens, exact_sens), namespace)
+                self._derivative[with_sens, exact_sens] = namespace["f"]
+        self._theta_src = None   # last theta passed in, and its float list
+        self._theta = None
 
-    def step(self, y, theta, with_sens=False, exact_sens=False):
-        out = _rk4_full_step(
-            y, self.n, self.dt, self.A, self.B, self.B1r, self.Ar, self.Bsum,
-            self.K, self.k0, self.gamma, self.PB,
-            np.ascontiguousarray(theta), self.r, with_sens, exact_sens,
-        )
-        if not np.all(np.isfinite(out)):
-            bad = int(np.argmax(~np.isfinite(out)))
-            raise DivergenceError("non-finite state", component=bad)
+    def step(self, y, theta, with_sens=False, exact_sens=False, t=None):
+        """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
+        sensitivities when ``with_sens``); returns the new state as a list.
+
+        Every component must stay finite and the 3n plant, reference and
+        estimate states within DIVERGENCE_LIMIT, else DivergenceError; ``t``
+        is the time at the start of the step.
+        """
+        if theta is not self._theta_src:
+            self._theta_src = theta
+            self._theta = [float(v) for v in theta]
+        f = self._derivative[with_sens, exact_sens]
+        out = _rk4_full_step(f, y, self._theta, self.dt)
+        if not all(abs(v) <= DIVERGENCE_LIMIT for v in out):  # False on NaN
+            check_bounded(out, None if t is None else t + self.dt, 3 * self.n)
         return out
 
 
@@ -308,6 +325,20 @@ def _jump_before(schedule, t):
     return ref
 
 
+def _sensitivity_start(n):
+    """Flat [S_e; S_th] at a phase onset: S_e = 0, S_th = I."""
+    return [0.0] * (n * n) + np.eye(n).reshape(-1).tolist()
+
+
+def _store_sensitivities(sens, y):
+    """Move the flat sensitivities off the end of ``y`` into S_e and S_th."""
+    n = sens.n
+    flat = np.array(y[3 * n:])
+    del y[3 * n:]
+    sens.S_e = flat[:n * n].reshape(n, n)
+    sens.S_th = flat[n * n:].reshape(n, n)
+
+
 def run(cfg):
     """Simulate one closed-loop run; deterministic given config and seed."""
     ctrl, ref = build_controller(cfg)
@@ -343,17 +374,16 @@ def run(cfg):
         "Ed": np.zeros(N + 1, dtype=np.int8),
     }
 
-    y = np.concatenate([cfg.x0, cfg.x0.copy(), cfg.theta_hat0])
+    # coupled state as a list of floats: x, x_r, theta_hat, then the flat
+    # sensitivities S_e, S_th while a learner phase is open
+    y = cfg.x0.tolist() + cfg.x0.tolist() + cfg.theta_hat0.tolist()
     status, error, error_step = "ok", None, None
     steps_done = N
 
     for k in range(N + 1):
         t = k * dt
         theta = theta_at(cfg.schedule, t)
-        x = y[0:n]
-        x_r = y[n:2 * n]
-        th = y[2 * n:3 * n]
-        e = x[iy] - x_r[iy]
+        e = y[iy] - y[n + iy]
         if k == 0:
             att.e_prev = e
             att.e_track = e
@@ -364,15 +394,17 @@ def run(cfg):
             snapshot = None
             if cfg.preadapt.enabled:
                 theta_I, sigma_h, input2 = theta_init(net, e, edot)
-                th = apply_preadaptation(att_flag, e_u, th, theta_I)
-                y[2 * n:3 * n] = th
+                y[2 * n:3 * n] = map(float, apply_preadaptation(
+                    att_flag, e_u, y[2 * n:3 * n], theta_I))
                 snapshot = PhaseSnapshot(
                     t_u=t, input2=input2, sigma_h=sigma_h,
                     W=net.W.copy(), V=net.V.copy(),
-                    x=x.copy(), x_r=x_r.copy(), theta_I=theta_I.copy(), step=k,
+                    x=np.array(y[0:n]), x_r=np.array(y[n:2 * n]),
+                    theta_I=theta_I.copy(), step=k,
                 )
                 if cfg.preadapt.learner_enabled:
                     sens.activate(snapshot)
+                    y[3 * n:] = _sensitivity_start(n)
             open_phase = PhaseMetrics(
                 t_u=t, t_d=None, peak_abs_e=abs(e), E_phase=0.0,
                 recovered=False, jump_ref=_jump_before(cfg.schedule, t),
@@ -385,6 +417,7 @@ def run(cfg):
             open_phase.step_d = k
             open_phase.recovered = True
             if cfg.preadapt.learner_enabled and sens.active:
+                _store_sensitivities(sens, y)
                 net, report = close_phase(
                     sens, net, cfg.preadapt.gamma_pa, t,
                     clip_norm=cfg.preadapt.clip_norm,
@@ -397,35 +430,25 @@ def run(cfg):
             if not open_phase.recovered and k < N:
                 open_phase.E_phase += abs(e) * dt
         if sens.active and k < N:
-            accumulate_cost(sens, e, sens.S_e[iy, :], dt)
-
-        u = control_input(ctrl, x, th, cfg.r)
+            accumulate_cost(sens, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
 
         trace["t"][k] = t
-        trace["x"][k] = x
-        trace["x_r"][k] = x_r
+        trace["x"][k] = y[0:n]
+        trace["x_r"][k] = y[n:2 * n]
         trace["e"][k] = e
         trace["edot_hat"][k] = edot
         trace["theta"][k] = theta
-        trace["theta_hat"][k] = th
-        trace["u"][k] = u
+        trace["theta_hat"][k] = y[2 * n:3 * n]
+        # numpy's dot, on the rows just written: a float loop sums in a
+        # different order and would change u in the last bit
+        trace["u"][k] = control_input(ctrl, trace["x"][k], trace["theta_hat"][k], cfg.r)
         trace["Eu"][k] = e_u
         trace["Ed"][k] = e_d
 
         if k == N:
             break
         try:
-            with_sens = sens.active
-            if with_sens:
-                y_full = np.concatenate([y[:3 * n], sens.S_e.reshape(-1),
-                                         sens.S_th.reshape(-1)])
-                y_full = stepper.step(y_full, theta, True, exact_sens)
-                y = y_full[:3 * n].copy()
-                sens.S_e = y_full[3 * n:3 * n + n * n].reshape(n, n)
-                sens.S_th = y_full[3 * n + n * n:].reshape(n, n)
-            else:
-                y = stepper.step(y, theta)
-            check_bounded(y, t + dt)
+            y = stepper.step(y, theta, sens.active, exact_sens, t)
         except DivergenceError as exc:
             status = "diverged"
             error = str(exc)
@@ -439,6 +462,7 @@ def run(cfg):
 
     if sens.active:
         # phase never closed before the horizon: no weight update, log it
+        _store_sensitivities(sens, y)
         phase_reports.append({
             "t_u": sens.snapshot.t_u, "t_d": None, "E_acc": sens.E_acc,
             "grad_W_norm": None, "grad_V_norm": None, "updated": False,
@@ -512,21 +536,19 @@ def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
     with_sens = sens_mode is not None
     exact = sens_mode == GradientMode.EXACT
 
-    y = np.concatenate([snapshot.x, snapshot.x_r, theta_I])
+    y = snapshot.x.tolist() + snapshot.x_r.tolist() + [float(v) for v in theta_I]
     if with_sens:
-        y = np.concatenate([y, np.zeros(n * n), np.eye(n).reshape(-1)])
-    E = 0.0
-    dE = np.zeros(n) if with_sens else None
+        y += _sensitivity_start(n)
+    acc = SensitivityState(n=n)
+    acc.activate(snapshot)
     for k in range(steps):
         t = snapshot.t_u + k * dt
         theta = theta_at(cfg.schedule, t)
         e = y[iy] - y[n + iy]
-        E += abs(e) * dt
-        if with_sens and e != 0.0:
-            S_e_row = y[3 * n + iy * n:3 * n + (iy + 1) * n]
-            dE += np.sign(e) * S_e_row * dt
-        y = stepper.step(y, theta, with_sens, exact)
-    return E, dE
+        # without sensitivities the row slice is empty and only E accumulates
+        accumulate_cost(acc, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
+        y = stepper.step(y, theta, with_sens, exact, t)
+    return acc.E_acc, acc.dE_dthI if with_sens else None
 
 
 def grad_check(cfg, phase_index, delta, result=None):

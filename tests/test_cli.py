@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,28 @@ def test_load_bundled_scenarios():
         cfg = cli.load_scenario(scenario_path(name))
         assert cfg.plant.n == 3
         assert cfg.dt == 1e-3
+
+
+def test_all_bundled_scenarios_load():
+    names = sorted(p.name for p in (importlib.resources.files("preadaptive_control")
+                                    / "scenarios").iterdir() if p.name.endswith(".yaml"))
+    assert len(names) == 7
+    for name in names:
+        assert cli.load_scenario(scenario_path(name)).num_steps > 0
+
+
+def test_off_grid_dt_rejected_at_parse():
+    cfg = cli.load_scenario(scenario_path("scenario2_rac.yaml"))
+    with pytest.raises(cli.ConfigError):
+        replace(cfg, dt=0.0003)
+
+
+def test_cmd_run_off_grid_dt_exits_before_running(tmp_path):
+    out = tmp_path / "o"
+    code = cli.main(["run", scenario_path("scenario2_rac.yaml"), "--dt", "0.0003",
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_unknown_top_level_key_rejected(tmp_path):

@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from preadaptive_control import (
+    AttentionConfig,
     ConfigError,
+    DivergenceError,
     GradientMode,
+    PlantConfig,
     PreadaptSettings,
+    RunConfig,
     ThetaSchedule,
+    adaptation_derivative,
+    control_input,
     compare_results,
     default_config,
     grad_check,
+    pi_matrix,
+    plant_derivative,
+    reference_derivative,
     run,
     scenario_schedule,
 )
+from preadaptive_control.simengine import _Stepper, build_controller
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +36,25 @@ def learner1_result():
 def test_config_rejects_horizon_not_multiple_of_dt():
     with pytest.raises(ConfigError):
         default_config(1, dt=7e-4)
+
+
+def test_config_rejects_horizon_off_the_dt_grid_at_many_steps():
+    # 140 / 3e-4 = 466666.67 steps: a tolerance scaled by the step count
+    # accepted it, and the last step then fell past the horizon
+    with pytest.raises(ConfigError):
+        default_config(2, dt=3e-4)
+
+
+def test_config_rejects_jump_time_off_the_dt_grid():
+    sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0005, np.ones(3))],
+                          horizon=10.0)
+    with pytest.raises(ConfigError, match="5.0005"):
+        default_config(1, schedule=sched)
+
+
+def test_config_accepts_grid_aligned_dt():
+    assert default_config(2, dt=5e-4).num_steps == 280000
+    assert default_config(3, dt=2e-3).num_steps == 70000
 
 
 def test_config_rejects_learner_without_preadapt():
@@ -69,6 +98,82 @@ def test_rac_golden_trace_regression(rac1_result):
     assert tr["theta_hat"][60000][0] == pytest.approx(1.3451853423843805, abs=1e-12)
 
 
+# scenario-1 learner, approx mode, seed 1: (step, e, theta_hat) at the first
+# step after each onset, mid-phase and at the recovery event
+_LEARNER1_GOLDEN = [
+    (5402, 0.00502489996050183,
+     (0.39463568665295307, 0.08476892352409922, -0.1911245622151117)),
+    (5836, 0.007281987246446395,
+     (0.40979216180559896, 0.0782250548345524, -0.19410420827041344)),
+    (6272, 0.0049984772632848395,
+     (0.41797136450616756, 0.07464854150061877, -0.19522137012991284)),
+    (20382, 0.005032099010033764,
+     (0.5176228959160134, 0.031544798510984774, -0.214266867851202)),
+    (21719, 0.012594731570008372,
+     (0.5783537763837939, 0.0040097589840087985, -0.2256299799623782)),
+    (23058, 0.004998768815360086,
+     (0.6278102463944105, -0.019429820790129587, -0.23246507552004397)),
+    (45271, 0.0050371042488276535,
+     (1.4091510228967574, -0.38147886817320303, -0.3643230973943858)),
+    (45933, 0.007125836882631936,
+     (1.4278495039699308, -0.38948732763644767, -0.3676779329102647)),
+    (46596, 0.004998350826916825,
+     (1.440243518960611, -0.39485819958122925, -0.36937508768676663)),
+]
+
+
+def _assert_golden(res, rows, W, V, E_acc):
+    tr = res.trace
+    for k, e, theta_hat in rows:
+        assert tr["e"][k] == pytest.approx(e, abs=1e-15)
+        for got, want in zip(tr["theta_hat"][k], theta_hat):
+            assert got == pytest.approx(want, abs=1e-15)
+    assert np.allclose(res.net.W, W, rtol=0.0, atol=1e-15)
+    assert np.allclose(res.net.V, V, rtol=0.0, atol=1e-15)
+    got_E = [rep["E_acc"] for rep in res.phase_reports]
+    assert got_E == pytest.approx(E_acc, abs=1e-15)
+
+
+def test_learner_golden_sensitivity_path(learner1_result):
+    # frozen values from the reference simulation; the weights and E_acc pin
+    # the approx-mode sensitivity step, the cost accumulation and the update
+    _assert_golden(
+        learner1_result, _LEARNER1_GOLDEN,
+        W=[[0.9000299632581208, 0.04871739632309369, -0.5066737885645978],
+           [1.3436167634645133, -0.5929618376918364, -0.22865300079929443],
+           [1.216772485915941, -0.49293714721872933, -0.10138606680815099]],
+        V=[[-0.4721398302922242, 0.2553337611257462, 0.039543865497008016],
+           [-0.16820047251326906, 0.2980707680828281, -0.1892602997390872]],
+        E_acc=[0.005710197675233243, 0.027162341603565388, 0.008794749607076697],
+    )
+
+
+def test_exact_mode_golden_sensitivity_path():
+    # two phases: the second starts from weights the exact gradient updated
+    sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0, np.ones(3)),
+                                  (12.0, 4.0 * np.ones(3))], horizon=18.0)
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=1,
+                           gradient_mode=GradientMode.EXACT)
+    res = run(default_config(1, preadapt=pre, schedule=sched))
+    assert [(p.step_u, p.step_d) for p in res.phases] == [(5401, 6272), (12228, 15637)]
+    _assert_golden(
+        res, [
+            (12229, 0.005058007116859775,
+             (0.491094096460053, 0.04262452043018744, -0.20891821610009528)),
+            (13932, 0.023833305110629893,
+             (0.6441367000262149, -0.0375699075892076, -0.2457831079992581)),
+            (15637, 0.0049939262157959186,
+             (0.7574654014618213, -0.10333680428053808, -0.2615408267456447)),
+        ],
+        W=[[0.2750194549627438, 0.3108271479932813, -0.4037130986744506],
+           [0.7145030872732101, -0.3292402286464005, -0.12502814501192408],
+           [0.5911147276905447, -0.23054967919997893, 0.0016819323662028984]],
+        V=[[-0.4725075985991957, 0.25392740213335485, 0.03842767604686703],
+           [-0.17073535898585682, 0.29143383482012036, -0.1947333634902636]],
+        E_acc=[0.005710197675233243, 0.061612298005487995],
+    )
+
+
 def test_rac_phase_metrics(rac1_result):
     phases = rac1_result.phases
     assert [p.jump_ref for p in phases] == [5.0, 20.0, 45.0]
@@ -99,6 +204,75 @@ def test_divergence_truncates_trace_and_reports():
     assert res.error_step is not None
     assert len(res.trace["t"]) == res.error_step + 1
     assert np.all(np.isfinite(res.trace["x"]))
+
+
+# --------------------------------------------------------------------------
+# divergence guard of the RK4 step
+
+@pytest.fixture(scope="module")
+def stepper():
+    cfg = default_config(1)
+    return _Stepper(cfg, *build_controller(cfg))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_compiled_derivative_matches_array_forms(exact):
+    # a 2-state loop, so the compiled code is checked away from n = 3
+    plant = PlantConfig(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], B1r=[1.0, 0.0],
+                        output_index=1)
+    cfg = RunConfig(plant=plant,
+                    schedule=ThetaSchedule(pieces=[(0.0, [0.3, -0.2])], horizon=1.0),
+                    attention=AttentionConfig(c_e=0.005, c_ed=0.02),
+                    preadapt=PreadaptSettings(), Q=np.eye(2), k0=0.5, r=0.1)
+    ctrl, ref = build_controller(cfg)
+    rng = np.random.default_rng(5)
+    x, x_r, th, theta = rng.standard_normal((4, 2))
+    S = rng.standard_normal((4, 2))  # [S_e; S_th]
+    dtheta = theta - th if exact else np.zeros(2)
+    want = np.concatenate([
+        plant_derivative(plant, x, control_input(ctrl, x, th, cfg.r), theta, cfg.r),
+        reference_derivative(ref, x_r, cfg.r),
+        adaptation_derivative(ctrl, x, x - x_r, plant.B),
+        (pi_matrix(x - x_r, x_r, dtheta, ref.Ar, plant.B, ctrl.P, cfg.gamma) @ S).ravel(),
+    ])
+    f = _Stepper(cfg, ctrl, ref)._derivative[True, exact]
+    got = f(np.concatenate([x, x_r, th, S.ravel()]).tolist(), theta.tolist())
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("index, value", [(0, np.nan), (4, np.nan), (4, np.inf)])
+def test_step_rejects_nonfinite_state(stepper, index, value):
+    y = [0.0] * 9
+    y[index] = value
+    with pytest.raises(DivergenceError) as exc:
+        stepper.step(y, np.ones(3), False, False, 1.0)
+    # a non-finite x_r or theta_hat reaches x within the step: the first
+    # non-finite component of the new state is reported
+    assert str(exc.value) == "non-finite state"
+    assert exc.value.component == 0
+    assert exc.value.t is None
+
+
+def test_step_rejects_state_beyond_limit(stepper):
+    y = [0.0] * 9
+    y[3] = 2e6
+    with pytest.raises(DivergenceError) as exc:
+        stepper.step(y, np.ones(3), False, False, 1.0)
+    assert str(exc.value) == "state component 3 exceeded 1e+06 at t=1.001"
+    assert exc.value.component == 3
+    assert exc.value.t == 1.001
+
+
+def test_step_bounds_states_but_not_sensitivities(stepper):
+    y = [0.0] * 9 + [0.0] * 9 + np.eye(3).reshape(-1).tolist()
+    y[9] = 2e7  # S_e[0, 0]
+    out = stepper.step(y, np.ones(3), True, True, 1.0)
+    assert abs(out[9]) > 1e6
+    y[13] = np.nan  # S_e[1, 1] reaches S_e[0, 1] within the step
+    with pytest.raises(DivergenceError) as exc:
+        stepper.step(y, np.ones(3), True, False, 1.0)
+    assert str(exc.value) == "non-finite state"
+    assert exc.value.component == 10
 
 
 def test_learner_updates_weights_each_closed_phase(learner1_result):
