@@ -221,17 +221,13 @@ def write_trace_csv(result, path):
         + ["u", "Eu", "Ed"]
     )
     keys = ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "u", "Eu", "Ed")
+    # '%.17g' gives the same text as _fmt; the event flags are ints
+    row_fmt = "%.17g," * (len(cols) - 2) + "%d,%d\n"
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
         for a in range(0, tr["t"].shape[0], _TRACE_CHUNK):
-            chunk = [tr[key][a:a + _TRACE_CHUNK].tolist() for key in keys]
-            lines = []
-            for t, x, x_r, e, edot, theta, theta_hat, u, eu, ed in zip(*chunk):
-                floats = [t, *x, *x_r, e, edot, *theta, *theta_hat, u]
-                # same text as _fmt; the event flags are ints
-                lines.append(",".join([format(v, ".17g") for v in floats])
-                             + f",{eu},{ed}\n")
-            f.writelines(lines)
+            block = np.column_stack([tr[key][a:a + _TRACE_CHUNK] for key in keys])
+            f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _config_echo(cfg):

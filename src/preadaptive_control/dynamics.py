@@ -183,13 +183,14 @@ def check_bounded(state, t, bounded=None):
     Every component of ``state`` (any sequence of floats) must be finite, and
     the first ``bounded`` components (all by default) must stay within
     DIVERGENCE_LIMIT.  A non-finite component is reported by its first index;
-    otherwise the largest bounded one is, with the time ``t``.
+    otherwise the largest bounded one is; either with the time ``t``.
     """
     if all(abs(v) <= DIVERGENCE_LIMIT for v in state):  # False on NaN
         return
     for i, v in enumerate(state):
         if not math.isfinite(v):
-            raise DivergenceError("non-finite state", component=i)
+            raise DivergenceError(f"non-finite state component {i} at t={t}",
+                                  t=t, component=i)
     mags = [abs(v) for v in state[:bounded]]
     big = max(mags, default=0.0)
     if big > DIVERGENCE_LIMIT:

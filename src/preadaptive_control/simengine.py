@@ -8,6 +8,7 @@ and finally advances the whole coupled state (plant, reference, estimate,
 sensitivity blocks) with one RK4 step.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -175,13 +176,79 @@ def default_config(scenario=1, preadapt=None, **overrides):
 # inner step (plant + reference + estimate + optional sensitivity)
 #
 # The state is a Python list of floats: indexing a numpy array boxes a new
-# float64 per element, which used to be most of a step.  The derivative is
+# float64 per element, which used to be most of a step.  The RK4 step is
 # compiled per closed loop as straight-line code, because at n = 3 a Python
-# loop over the n terms of a sum costs more than the sum itself.  Each sum is
+# loop over the n terms of a sum costs more than the sum itself, and building
+# and zipping lists between the four stages costs as much again.  Each sum is
 # written out left to right, in the order of the per-element loops it
 # replaced, with the closed loop's matrices as float literals; the arithmetic
 # is therefore the same IEEE operations in the same order, and traces are
 # bit-identical to those of the earlier array implementation.
+
+
+def _literal(v):
+    return f"({float(v)!r})"  # repr round-trips every float exactly
+
+
+def _state_names(n, with_sens, sfx):
+    """Locals holding y = x, x_r, theta_hat and, with sensitivities, S."""
+    R = range(n)
+    names = [f"x{j}" for j in R] + [f"xr{j}" for j in R] + [f"th{j}" for j in R]
+    if with_sens:
+        names += [f"S{j}_{k}" for j in range(2 * n) for k in R]
+    return [name + sfx for name in names]
+
+
+def _derivative_code(st, with_sens, exact_sens, sfx):
+    """Statements and expressions of d/dt y for ``st``'s loop.
+
+    Returns (body, dy): ``body`` assigns the intermediates and ``dy`` holds one
+    expression per component of y, over the locals of ``_state_names`` and
+    the true parameter ``t0, t1, ...``.  Every local carries the suffix
+    ``sfx``, so the four RK4 stages can share one function.
+    """
+    n = st.n
+    R = range(n)
+    c = _literal
+    names = _state_names(n, with_sens, sfx)
+    x, xr, th = names[:n], names[n:2 * n], names[2 * n:3 * n]
+    S = [names[3 * n + j * n:3 * n + (j + 1) * n] for j in range(2 * n)]
+    thx, u, s, gs = (f"{v}{sfx}" for v in ("thx", "u", "s", "gs"))
+    body = [
+        f"{thx} = 0.0" + "".join(f" + t{j} * {x[j]}" for j in R),
+        f"{u} = {c(st.k0 * st.r)}"
+        + "".join(f" - ({c(st.K[j])} + {th[j]}) * {x[j]}" for j in R),
+        f"{s} = 0.0" + "".join(f" + ({x[j]} - {xr[j]}) * {c(st.PB[j])}" for j in R),
+    ]
+    dy = [f"{c(st.B1r[i] * st.r)} + {c(st.B[i])} * ({thx} + {u})"
+          + "".join(f" + {c(st.A[i][j])} * {x[j]}" for j in R) for i in R]
+    dy += [c(st.Bsum[i] * st.r) + "".join(f" + {c(st.Ar[i][j])} * {xr[j]}" for j in R)
+           for i in R]
+    dy += [f"{c(st.gamma)} * {x[i]} * {s}" for i in R]
+    if with_sens:
+        # note e_v + x_r = x
+        a = [[c(st.Ar[i][j]) for j in R] for i in R]
+        bx = [[f"bx{i}_{j}{sfx}" for j in R] for i in R]
+        g = [[f"g{i}_{j}{sfx}" for j in R] for i in R]
+        for i in R:
+            for j in R:
+                if exact_sens:
+                    body.append(f"a{i}_{j}{sfx} = {a[i][j]} + {c(st.B[i])} * (t{j} - {th[j]})")
+                    a[i][j] = f"a{i}_{j}{sfx}"
+                body.append(f"{bx[i][j]} = {c(st.B[i])} * {x[j]}")
+                body.append(f"{g[i][j]} = {c(st.gamma)} * {x[i]} * {c(st.PB[j])}")
+        body.append(f"{gs} = {c(st.gamma)} * {s}")
+        dy += ["0.0" + "".join(f" + {a[i][j]} * {S[j][k]}" for j in R)
+               + "".join(f" - {bx[i][j]} * {S[n + j][k]}" for j in R)
+               for i in R for k in R]
+        dy += [f"{gs} * {S[i][k]}" + "".join(f" + {g[i][j]} * {S[j][k]}" for j in R)
+               for i in R for k in R]
+    return body, dy
+
+
+def _unpack(names, source):
+    return ", ".join(names) + ", = " + source
+
 
 def _coupled_derivative_source(st, with_sens, exact_sens):
     """Source of ``f(y, theta)``: d/dt of the coupled state for ``st``'s loop.
@@ -190,63 +257,51 @@ def _coupled_derivative_source(st, with_sens, exact_sens):
     (2n x n, row-major); ``theta`` is the true parameter.  Both are lists of
     floats, and ``f`` returns one.
     """
+    body, dy = _derivative_code(st, with_sens, exact_sens, "")
+    lines = [_unpack(_state_names(st.n, with_sens, ""), "y"),
+             _unpack([f"t{j}" for j in range(st.n)], "theta")] + body
+    return ("def f(y, theta):\n" + "".join(f"    {line}\n" for line in lines)
+            + "    return [" + ",\n            ".join(dy) + "]\n")
+
+
+def _rk4_step_source(st, with_sens, exact_sens):
+    """Source of ``step(y, theta)``: one classical RK4 step of the coupled state.
+
+    The four evaluations of ``_coupled_derivative_source``'s expressions are
+    inlined, stage s's locals suffixed ``_s`` and its slopes named ``ks_i``.
+    The step is ``(dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, the stage states
+    ``y + (dt/2) k1``, ``y + (dt/2) k2`` and ``y + dt k3``, with ``dt/2``,
+    ``dt`` and ``dt/6`` written in as literals.
+    """
     n = st.n
-    R = range(n)
-
-    def c(v):
-        return f"({float(v)!r})"  # repr round-trips every float exactly
-
-    x = [f"x{j}" for j in R]
-    xr = [f"xr{j}" for j in R]
-    th = [f"th{j}" for j in R]
-    S = [[f"S{j}_{k}" for k in R] for j in range(2 * n)] if with_sens else []
-    body = [
-        ", ".join(x + xr + th + [v for row in S for v in row]) + ", = y",
-        "".join(f"t{j}, " for j in R) + "= theta",
-        "thx = 0.0" + "".join(f" + t{j} * {x[j]}" for j in R),
-        f"u = {c(st.k0 * st.r)}"
-        + "".join(f" - ({c(st.K[j])} + {th[j]}) * {x[j]}" for j in R),
-        "s = 0.0" + "".join(f" + ({x[j]} - {xr[j]}) * {c(st.PB[j])}" for j in R),
-    ]
-    dy = [f"{c(st.B1r[i] * st.r)} + {c(st.B[i])} * (thx + u)"
-          + "".join(f" + {c(st.A[i][j])} * {x[j]}" for j in R) for i in R]
-    dy += [c(st.Bsum[i] * st.r) + "".join(f" + {c(st.Ar[i][j])} * {xr[j]}" for j in R)
-           for i in R]
-    dy += [f"{c(st.gamma)} * {x[i]} * s" for i in R]
-    if with_sens:
-        # note e_v + x_r = x
-        a = [[c(st.Ar[i][j]) for j in R] for i in R]
-        for i in R:
-            for j in R:
-                if exact_sens:
-                    body.append(f"a{i}_{j} = {a[i][j]} + {c(st.B[i])} * (t{j} - {th[j]})")
-                    a[i][j] = f"a{i}_{j}"
-                body.append(f"bx{i}_{j} = {c(st.B[i])} * {x[j]}")
-                body.append(f"g{i}_{j} = {c(st.gamma)} * {x[i]} * {c(st.PB[j])}")
-        body.append(f"gs = {c(st.gamma)} * s")
-        dy += ["0.0" + "".join(f" + {a[i][j]} * {S[j][k]}" for j in R)
-               + "".join(f" - bx{i}_{j} * {S[n + j][k]}" for j in R)
-               for i in R for k in R]
-        dy += [f"gs * {S[i][k]}" + "".join(f" + g{i}_{j} * {S[j][k]}" for j in R)
-               for i in R for k in R]
-    lines = ["def f(y, theta):"] + [f"    {line}" for line in body]
-    lines.append("    return [" + ",\n            ".join(dy) + "]")
-    return "\n".join(lines) + "\n"
+    y = _state_names(n, with_sens, "_1")
+    size = range(len(y))
+    lines = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta")]
+    for stage, h in ((1, None), (2, 0.5 * st.dt), (3, 0.5 * st.dt), (4, st.dt)):
+        sfx = f"_{stage}"
+        if h is not None:
+            lines += [f"{v} = {y[i]} + {_literal(h)} * k{stage - 1}_{i}"
+                      for i, v in enumerate(_state_names(n, with_sens, sfx))]
+        body, dy = _derivative_code(st, with_sens, exact_sens, sfx)
+        lines += body + [f"k{stage}_{i} = {expr}" for i, expr in enumerate(dy)]
+    c = _literal(st.dt / 6.0)
+    out = [f"{y[i]} + {c} * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+           for i in size]
+    return ("def step(y, theta):\n" + "".join(f"    {line}\n" for line in lines)
+            + "    return [" + ",\n            ".join(out) + "]\n")
 
 
-def _rk4_full_step(f, y, theta, dt):
-    h = 0.5 * dt
-    k1 = f(y, theta)
-    k2 = f([a + h * b for a, b in zip(y, k1)], theta)
-    k3 = f([a + h * b for a, b in zip(y, k2)], theta)
-    k4 = f([a + dt * b for a, b in zip(y, k3)], theta)
-    c = dt / 6.0
-    return [a + c * (((p + 2.0 * q) + 2.0 * w) + z)
-            for a, p, q, w, z in zip(y, k1, k2, k3, k4)]
+@functools.lru_cache(maxsize=64)
+def _compile(source, name):
+    """Function ``name`` defined by ``source``; cached by the text, so the
+    many ``_Stepper``s of a sweep or a grad-check compile each loop once."""
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(source, namespace)
+    return namespace[name]
 
 
 class _Stepper:
-    """Closed-loop data, as floats, and the compiled RK4 derivatives."""
+    """Closed-loop data, as floats, and the compiled RK4 steps."""
 
     def __init__(self, cfg, ctrl, ref):
         self.n = cfg.plant.n
@@ -261,14 +316,13 @@ class _Stepper:
         self.PB = (ctrl.P @ cfg.plant.B).tolist()
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
-        self._derivative = {}
-        for with_sens in (False, True):
-            for exact_sens in (False, True):
-                namespace = {"inf": math.inf, "nan": math.nan}
-                exec(_coupled_derivative_source(self, with_sens, exact_sens), namespace)
-                self._derivative[with_sens, exact_sens] = namespace["f"]
+        self._steps = {}         # compiled on first use, per (with_sens, exact_sens)
         self._theta_src = None   # last theta passed in, and its float list
         self._theta = None
+
+    def derivative(self, with_sens, exact_sens):
+        """The compiled ``f(y, theta)`` the step integrates."""
+        return _compile(_coupled_derivative_source(self, with_sens, exact_sens), "f")
 
     def step(self, y, theta, with_sens=False, exact_sens=False, t=None):
         """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
@@ -281,9 +335,15 @@ class _Stepper:
         if theta is not self._theta_src:
             self._theta_src = theta
             self._theta = [float(v) for v in theta]
-        f = self._derivative[with_sens, exact_sens]
-        out = _rk4_full_step(f, y, self._theta, self.dt)
-        if not all(abs(v) <= DIVERGENCE_LIMIT for v in out):  # False on NaN
+        key = (with_sens, exact_sens)
+        fn = self._steps.get(key)
+        if fn is None:
+            fn = self._steps[key] = _compile(_rk4_step_source(self, *key), "step")
+        out = fn(y, self._theta)
+        # the sum bounds every magnitude and is NaN or inf if any component
+        # is; past it, check_bounded tests each component and returns if all
+        # are within their limits
+        if not sum(map(abs, out)) <= DIVERGENCE_LIMIT:
             check_bounded(out, None if t is None else t + self.dt, 3 * self.n)
         return out
 
@@ -339,6 +399,38 @@ def _store_sensitivities(sens, y):
     sens.S_th = flat[n * n:].reshape(n, n)
 
 
+def _next_piece_start(schedule, t):
+    """Start of the first schedule piece after ``t``; ``theta_at`` gives the
+    same piece for every time before it (the same ``t_start <= t`` test)."""
+    for t_start in schedule.jump_times:
+        if not t_start <= t:
+            return t_start
+    return math.inf
+
+
+#: trace rows buffered as floats between writes to the trace arrays
+_TRACE_CHUNK = 256
+
+
+def _write_rows(trace, rows, start, n, ctrl, r):
+    """Write the buffered rows (x, x_r, theta_hat, e, edot_hat each) from row
+    ``start`` on, with their control input; returns the next row to write."""
+    block = np.array(rows).reshape(-1, 3 * n + 2)
+    stop = start + block.shape[0]
+    x = trace["x"][start:stop]
+    theta_hat = trace["theta_hat"][start:stop]
+    x[:] = block[:, :n]
+    trace["x_r"][start:stop] = block[:, n:2 * n]
+    theta_hat[:] = block[:, 2 * n:3 * n]
+    trace["e"][start:stop] = block[:, 3 * n]
+    trace["edot_hat"][start:stop] = block[:, 3 * n + 1]
+    # numpy's dot, on the rows just written: a float loop sums in a
+    # different order and would change u in the last bit
+    trace["u"][start:stop] = control_input(ctrl, x, theta_hat, r)
+    rows.clear()
+    return stop
+
+
 def run(cfg):
     """Simulate one closed-loop run; deterministic given config and seed."""
     ctrl, ref = build_controller(cfg)
@@ -347,6 +439,8 @@ def run(cfg):
     iy = cfg.plant.iy
     dt = cfg.dt
     N = cfg.num_steps
+    schedule = cfg.schedule
+    att_cfg = cfg.attention
 
     net = None
     if cfg.preadapt.enabled:
@@ -362,7 +456,7 @@ def run(cfg):
     open_phase = None
 
     trace = {
-        "t": np.empty(N + 1),
+        "t": np.arange(N + 1) * dt,
         "x": np.empty((N + 1, n)),
         "x_r": np.empty((N + 1, n)),
         "e": np.empty(N + 1),
@@ -373,24 +467,31 @@ def run(cfg):
         "Eu": np.zeros(N + 1, dtype=np.int8),
         "Ed": np.zeros(N + 1, dtype=np.int8),
     }
+    rows = []           # the rows not yet written to the trace, flat
+    chunk = _TRACE_CHUNK * (3 * n + 2)
+    written = 0
+    pieces = []         # (first step, theta) of each schedule piece reached
+    next_start = -math.inf   # theta_at runs again once t reaches this
 
     # coupled state as a list of floats: x, x_r, theta_hat, then the flat
     # sensitivities S_e, S_th while a learner phase is open
     y = cfg.x0.tolist() + cfg.x0.tolist() + cfg.theta_hat0.tolist()
+    att.e_prev = att.e_track = y[iy] - y[n + iy]
     status, error, error_step = "ok", None, None
     steps_done = N
 
     for k in range(N + 1):
         t = k * dt
-        theta = theta_at(cfg.schedule, t)
+        if next_start <= t:
+            theta = theta_at(schedule, t)
+            next_start = _next_piece_start(schedule, t)
+            pieces.append((k, theta))
         e = y[iy] - y[n + iy]
-        if k == 0:
-            att.e_prev = e
-            att.e_track = e
-        edot = update_velocity(cfg.attention, att, e, dt)
-        e_u, e_d, att_flag = detect_events(cfg.attention, att, e, edot, t)
+        edot = update_velocity(att_cfg, att, e, dt)
+        e_u, e_d, att_flag = detect_events(att_cfg, att, e, edot, t)
 
         if e_u:
+            trace["Eu"][k] = 1
             snapshot = None
             if cfg.preadapt.enabled:
                 theta_I, sigma_h, input2 = theta_init(net, e, edot)
@@ -412,6 +513,8 @@ def run(cfg):
             )
             phases.append(open_phase)
 
+        if e_d:
+            trace["Ed"][k] = 1
         if e_d and open_phase is not None and not open_phase.recovered:
             open_phase.t_d = t
             open_phase.step_d = k
@@ -432,21 +535,12 @@ def run(cfg):
         if sens.active and k < N:
             accumulate_cost(sens, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
 
-        trace["t"][k] = t
-        trace["x"][k] = y[0:n]
-        trace["x_r"][k] = y[n:2 * n]
-        trace["e"][k] = e
-        trace["edot_hat"][k] = edot
-        trace["theta"][k] = theta
-        trace["theta_hat"][k] = y[2 * n:3 * n]
-        # numpy's dot, on the rows just written: a float loop sums in a
-        # different order and would change u in the last bit
-        trace["u"][k] = control_input(ctrl, trace["x"][k], trace["theta_hat"][k], cfg.r)
-        trace["Eu"][k] = e_u
-        trace["Ed"][k] = e_d
-
+        rows += y[:3 * n]
+        rows += (e, edot)
         if k == N:
             break
+        if len(rows) == chunk:
+            written = _write_rows(trace, rows, written, n, ctrl, cfg.r)
         try:
             y = stepper.step(y, theta, sens.active, exact_sens, t)
         except DivergenceError as exc:
@@ -456,6 +550,9 @@ def run(cfg):
             steps_done = k
             break
 
+    _write_rows(trace, rows, written, n, ctrl, cfg.r)
+    for (start, theta), (stop, _) in zip(pieces, pieces[1:] + [(N + 1, None)]):
+        trace["theta"][start:stop] = theta
     if status == "diverged":
         for key in trace:
             trace[key] = trace[key][:steps_done + 1]
@@ -541,9 +638,12 @@ def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
         y += _sensitivity_start(n)
     acc = SensitivityState(n=n)
     acc.activate(snapshot)
+    next_start = -math.inf
     for k in range(steps):
         t = snapshot.t_u + k * dt
-        theta = theta_at(cfg.schedule, t)
+        if next_start <= t:
+            theta = theta_at(cfg.schedule, t)
+            next_start = _next_piece_start(cfg.schedule, t)
         e = y[iy] - y[n + iy]
         # without sensitivities the row slice is empty and only E accumulates
         accumulate_cost(acc, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)

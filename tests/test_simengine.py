@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from preadaptive_control import (
     run,
     scenario_schedule,
 )
+from preadaptive_control.dynamics import rk4_step
 from preadaptive_control.simengine import _Stepper, build_controller
 
 
@@ -148,6 +151,28 @@ def test_learner_golden_sensitivity_path(learner1_result):
     )
 
 
+def test_learner_trace_is_pinned_bit_for_bit(learner1_result):
+    # sha256 of every trace array but u (whose dot product is BLAS's),
+    # recorded from the reference simulation: unlike the 1e-15 goldens, this
+    # fails when any sum of the step is reordered
+    h = hashlib.sha256()
+    for key in ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "Eu", "Ed"):
+        a = learner1_result.trace[key]
+        h.update(f"{key} {a.dtype.str} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == (
+        "9c705a8433fa4640e30ddf9e46bdec3c223e4591613381ff24c94fb88b01582a")
+
+
+def test_trace_u_matches_control_input_per_row(learner1_result):
+    # u is written a chunk of rows at a time; each row equals the vector form
+    tr = learner1_result.trace
+    ctrl, _ = build_controller(learner1_result.config)
+    r = learner1_result.config.r
+    u = [control_input(ctrl, x, th, r) for x, th in zip(tr["x"], tr["theta_hat"])]
+    assert np.array_equal(tr["u"], u)
+
+
 def test_exact_mode_golden_sensitivity_path():
     # two phases: the second starts from weights the exact gradient updated
     sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0, np.ones(3)),
@@ -215,15 +240,20 @@ def stepper():
     return _Stepper(cfg, *build_controller(cfg))
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_compiled_derivative_matches_array_forms(exact):
+def _two_state_config():
     # a 2-state loop, so the compiled code is checked away from n = 3
     plant = PlantConfig(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], B1r=[1.0, 0.0],
                         output_index=1)
-    cfg = RunConfig(plant=plant,
-                    schedule=ThetaSchedule(pieces=[(0.0, [0.3, -0.2])], horizon=1.0),
-                    attention=AttentionConfig(c_e=0.005, c_ed=0.02),
-                    preadapt=PreadaptSettings(), Q=np.eye(2), k0=0.5, r=0.1)
+    return RunConfig(plant=plant,
+                     schedule=ThetaSchedule(pieces=[(0.0, [0.3, -0.2])], horizon=1.0),
+                     attention=AttentionConfig(c_e=0.005, c_ed=0.02),
+                     preadapt=PreadaptSettings(), Q=np.eye(2), k0=0.5, r=0.1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_compiled_derivative_matches_array_forms(exact):
+    cfg = _two_state_config()
+    plant = cfg.plant
     ctrl, ref = build_controller(cfg)
     rng = np.random.default_rng(5)
     x, x_r, th, theta = rng.standard_normal((4, 2))
@@ -235,9 +265,26 @@ def test_compiled_derivative_matches_array_forms(exact):
         adaptation_derivative(ctrl, x, x - x_r, plant.B),
         (pi_matrix(x - x_r, x_r, dtheta, ref.Ar, plant.B, ctrl.P, cfg.gamma) @ S).ravel(),
     ])
-    f = _Stepper(cfg, ctrl, ref)._derivative[True, exact]
+    f = _Stepper(cfg, ctrl, ref).derivative(True, exact)
     got = f(np.concatenate([x, x_r, th, S.ravel()]).tolist(), theta.tolist())
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("with_sens, exact", [(False, False), (True, False), (True, True)])
+def test_compiled_step_is_rk4_of_compiled_derivative(n, with_sens, exact):
+    # the inlined stages must do rk4_step's operations in rk4_step's order
+    cfg = _two_state_config() if n == 2 else default_config(1)
+    st = _Stepper(cfg, *build_controller(cfg))
+    f = st.derivative(with_sens, exact)
+    rng = np.random.default_rng(11)
+    size = 3 * n + (2 * n * n if with_sens else 0)
+    for _ in range(200):
+        y = rng.standard_normal(size) * rng.choice([1e-3, 1.0, 30.0], size)
+        theta = rng.standard_normal(n).tolist()
+        want = rk4_step(lambda t, v: np.array(f(v.tolist(), theta)), y, 0.0, cfg.dt)
+        got = st.step(y.tolist(), theta, with_sens, exact, 0.0)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("index, value", [(0, np.nan), (4, np.nan), (4, np.inf)])
@@ -247,10 +294,10 @@ def test_step_rejects_nonfinite_state(stepper, index, value):
     with pytest.raises(DivergenceError) as exc:
         stepper.step(y, np.ones(3), False, False, 1.0)
     # a non-finite x_r or theta_hat reaches x within the step: the first
-    # non-finite component of the new state is reported
-    assert str(exc.value) == "non-finite state"
+    # non-finite component of the new state is reported, at the step's end
+    assert str(exc.value) == "non-finite state component 0 at t=1.001"
     assert exc.value.component == 0
-    assert exc.value.t is None
+    assert exc.value.t == 1.001
 
 
 def test_step_rejects_state_beyond_limit(stepper):
@@ -271,8 +318,9 @@ def test_step_bounds_states_but_not_sensitivities(stepper):
     y[13] = np.nan  # S_e[1, 1] reaches S_e[0, 1] within the step
     with pytest.raises(DivergenceError) as exc:
         stepper.step(y, np.ones(3), True, False, 1.0)
-    assert str(exc.value) == "non-finite state"
+    assert str(exc.value) == "non-finite state component 10 at t=1.001"
     assert exc.value.component == 10
+    assert exc.value.t == 1.001
 
 
 def test_learner_updates_weights_each_closed_phase(learner1_result):
