@@ -513,6 +513,9 @@ def run(cfg):
             )
             phases.append(open_phase)
 
+        # a phase's peak runs from its onset row to its recovery row
+        if open_phase is not None and not open_phase.recovered:
+            open_phase.peak_abs_e = max(open_phase.peak_abs_e, abs(e))
         if e_d:
             trace["Ed"][k] = 1
         if e_d and open_phase is not None and not open_phase.recovered:
@@ -528,10 +531,8 @@ def run(cfg):
                 report["mode"] = cfg.preadapt.gradient_mode.value
                 phase_reports.append(report)
 
-        if open_phase is not None:
-            open_phase.peak_abs_e = max(open_phase.peak_abs_e, abs(e))
-            if not open_phase.recovered and k < N:
-                open_phase.E_phase += abs(e) * dt
+        if open_phase is not None and not open_phase.recovered and k < N:
+            open_phase.E_phase += abs(e) * dt
         if sens.active and k < N:
             accumulate_cost(sens, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
 

@@ -210,6 +210,19 @@ def test_rac_phase_metrics(rac1_result):
         assert np.max(seg) == pytest.approx(p.peak_abs_e, abs=1e-15)
 
 
+def test_phase_peak_stops_at_recovery():
+    # scenario 2, seed 6: |e| rises again between the t=20 phase's recovery
+    # (max |e| 0.0059 up to it) and the next onset, to 0.00729; the peak of a
+    # phase is taken from its onset to its recovery only
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=6)
+    res = run(default_config(2, preadapt=pre))
+    mag = np.abs(res.trace["e"])
+    assert any(p.jump_ref == 20.0 for p in res.phases)
+    for p in res.phases:
+        stop = p.step_d + 1 if p.recovered else len(mag)
+        assert p.peak_abs_e == np.max(mag[p.step_u:stop])
+
+
 def test_run_determinism():
     pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=3)
     a = run(default_config(1, preadapt=pre))
