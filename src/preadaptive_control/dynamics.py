@@ -182,8 +182,8 @@ def check_bounded(state, t, bounded=None):
 
     Every component of ``state`` (any sequence of floats) must be finite, and
     the first ``bounded`` components (all by default) must stay within
-    DIVERGENCE_LIMIT.  A non-finite component is reported by its first index;
-    otherwise the largest bounded one is; either with the time ``t``.
+    DIVERGENCE_LIMIT.  The error gives the time ``t`` and the first
+    non-finite component, or else the largest bounded one.
     """
     if all(abs(v) <= DIVERGENCE_LIMIT for v in state):  # False on NaN
         return
