@@ -33,6 +33,27 @@ def learner1_result():
     return run(default_config(1, preadapt=pre))
 
 
+@pytest.fixture(scope="module")
+def exact18_result():
+    """Two phases in exact mode: the second starts from weights the exact
+    gradient updated."""
+    sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0, np.ones(3)),
+                                  (12.0, 4.0 * np.ones(3))], horizon=18.0)
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=1,
+                           gradient_mode=GradientMode.EXACT)
+    return run(default_config(1, preadapt=pre, schedule=sched))
+
+
+def _trace_digest(res):
+    """sha256 of every trace array but u, whose dot product is BLAS's."""
+    h = hashlib.sha256()
+    for key in ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "Eu", "Ed"):
+        a = res.trace[key]
+        h.update(f"{key} {a.dtype.str} {a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 # --------------------------------------------------------------------------
 # configuration
 
@@ -152,16 +173,22 @@ def test_learner_golden_sensitivity_path(learner1_result):
 
 
 def test_learner_trace_is_pinned_bit_for_bit(learner1_result):
-    # sha256 of every trace array but u (whose dot product is BLAS's),
     # recorded from the reference simulation: unlike the 1e-15 goldens, this
     # fails when any sum of the step is reordered
-    h = hashlib.sha256()
-    for key in ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "Eu", "Ed"):
-        a = learner1_result.trace[key]
-        h.update(f"{key} {a.dtype.str} {a.shape}".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    assert h.hexdigest() == (
+    assert _trace_digest(learner1_result) == (
         "9c705a8433fa4640e30ddf9e46bdec3c223e4591613381ff24c94fb88b01582a")
+
+
+def test_rac_trace_is_pinned_bit_for_bit(rac1_result):
+    # the plain-step path alone: no phase ever carries sensitivities
+    assert _trace_digest(rac1_result) == (
+        "6694c3e87677368ac0a9858435e3d1d5fc3e0d48d29a101eeca8f69afbbd443d")
+
+
+def test_exact_mode_trace_is_pinned_bit_for_bit(exact18_result):
+    # the exact-sensitivity step, whose Pi carries the true mismatch
+    assert _trace_digest(exact18_result) == (
+        "bfe750f13f83d25e73e8b2375d008f7f26f2c796fbba405da63c834368fcd64e")
 
 
 def test_trace_u_matches_control_input_per_row(learner1_result):
@@ -173,13 +200,8 @@ def test_trace_u_matches_control_input_per_row(learner1_result):
     assert np.array_equal(tr["u"], u)
 
 
-def test_exact_mode_golden_sensitivity_path():
-    # two phases: the second starts from weights the exact gradient updated
-    sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0, np.ones(3)),
-                                  (12.0, 4.0 * np.ones(3))], horizon=18.0)
-    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=1,
-                           gradient_mode=GradientMode.EXACT)
-    res = run(default_config(1, preadapt=pre, schedule=sched))
+def test_exact_mode_golden_sensitivity_path(exact18_result):
+    res = exact18_result
     assert [(p.step_u, p.step_d) for p in res.phases] == [(5401, 6272), (12228, 15637)]
     _assert_golden(
         res, [
