@@ -8,7 +8,7 @@ onset, recovery, onset, ...
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class AttentionConfig:
     zeta: float = 0.2           # tracking-differentiator damping ratio
 
     def __post_init__(self):
+        for name in ("c_e", "c_ed", "tau_f", "omega_n", "zeta"):
+            require_finite(name, getattr(self, name))
         if self.c_e <= 0.0 or self.c_ed <= 0.0 or self.tau_f <= 0.0:
             raise ConfigError("attention thresholds and tau_f must be positive")
         if self.estimator not in ("tracking", "dirty"):

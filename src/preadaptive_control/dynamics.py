@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require_finite
 
 #: Any state component beyond this magnitude aborts the run.
 DIVERGENCE_LIMIT = 1e6
@@ -47,6 +47,8 @@ class PlantConfig:
         n = A.shape[0]
         if A.shape != (n, n) or B.shape != (n,) or B1r.shape != (n,):
             raise ConfigError("plant matrix dimensions are inconsistent")
+        for name, value in (("A", A), ("B", B), ("B1r", B1r)):
+            require_finite(name, value)
         if not (1 <= self.output_index <= n):
             raise ConfigError(f"output_index must be in [1, {n}]")
         if np.linalg.matrix_rank(controllability_matrix(A, B)) < n:
@@ -107,6 +109,10 @@ class ThetaSchedule:
         )
         if not pieces:
             raise ConfigError("schedule needs at least one piece")
+        require_finite("horizon", self.horizon)
+        for t, th in pieces:
+            require_finite("schedule piece time", t)
+            require_finite(f"theta at t={t}", th)
         if pieces[0][0] != 0.0:
             raise ConfigError("first schedule piece must start at t = 0")
         starts = [t for t, _ in pieces]

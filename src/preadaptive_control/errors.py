@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A configuration or scenario file is invalid."""
+
+
+def require_finite(field, value):
+    """ConfigError naming ``field`` unless every entry of ``value`` is finite.
+
+    A NaN slips through every ordered comparison, so range checks alone do
+    not catch it.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{field} must be finite, got {value}")
 
 
 class SolverError(RuntimeError):

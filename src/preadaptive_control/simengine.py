@@ -24,7 +24,7 @@ from .dynamics import (
     check_bounded,
     theta_at,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require_finite
 from .learner import (
     GradientMode,
     PhaseSnapshot,
@@ -50,6 +50,12 @@ class PreadaptSettings:
     clip_norm: float | None = None
     net: PreadaptNet | None = None  # preloaded weights override the seed init
 
+    def __post_init__(self):
+        require_finite("gamma_pa", self.gamma_pa)
+        require_finite("init_scale", self.init_scale)
+        if self.clip_norm is not None:
+            require_finite("clip_norm", self.clip_norm)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,6 +76,8 @@ class RunConfig:
         n = self.plant.n
         if self.schedule.n != n:
             raise ConfigError("schedule dimension does not match the plant")
+        for name in ("dt", "r", "R", "gamma", "k0", "Q"):
+            require_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         # the run samples t = k*dt: the horizon and every jump must be grid
@@ -92,6 +100,8 @@ class RunConfig:
         )
         if x0.shape != (n,) or th0.shape != (n,):
             raise ConfigError("x0 / theta_hat0 dimension mismatch")
+        require_finite("x0", x0)
+        require_finite("theta_hat0", th0)
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "theta_hat0", th0)

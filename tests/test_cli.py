@@ -99,6 +99,25 @@ def test_bad_gradient_mode_rejected(tmp_path):
         cli.load_scenario(str(path))
 
 
+@pytest.mark.parametrize("entry, field", [
+    ("dt: .nan", "dt"),
+    ("dt: .inf", "dt"),
+    ("attention: {c_e: .nan}", "c_e"),
+    ("x0: [.nan, 0, 0]", "x0"),
+    ("r: .inf", "r"),
+])
+def test_non_finite_value_rejected(tmp_path, entry, field):
+    # a NaN passes every range check, and round(nan) used to escape as a
+    # bare ValueError; each must be a config error naming its field
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"plant: b747\nschedule: {{scenario: 1}}\n{entry}\n")
+    with pytest.raises(cli.ConfigError, match=f"^{field} must be finite"):
+        cli.load_scenario(str(path))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_explicit_plant_matrices(tmp_path):
     doc = {
         "plant": {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [0.0, 1.0],
