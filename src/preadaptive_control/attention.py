@@ -44,18 +44,38 @@ class AttentionState:
     events: list = field(default_factory=list)  # (t, "E_u"|"E_d")
 
 
+def _dirty_estimator(tau_f):
+    def estimate(state, e, dt):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        raw = (e - state.e_prev) / dt
+        alpha = dt / tau_f
+        state.edot_hat += alpha * (raw - state.edot_hat)
+        return state.edot_hat
+    return estimate
+
+
+def _tracking_estimator(omega_n, zeta):
+    gain_1 = 2.0 * zeta * omega_n
+    gain_2 = omega_n * omega_n
+
+    def estimate(state, e, dt):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        err = e - state.e_track
+        state.e_track += dt * (state.edot_hat + gain_1 * err)
+        state.edot_hat += dt * (gain_2 * err)
+        return state.edot_hat
+    return estimate
+
+
 def velocity_estimate(state, e, dt, tau_f):
     """Dirty-derivative update: low-pass-filtered finite difference of e.
 
     Returns the new estimate and stores it in the state; ``e_prev`` is left
     untouched so the crossing test in :func:`detect_events` can still see it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    raw = (e - state.e_prev) / dt
-    alpha = dt / tau_f
-    state.edot_hat += alpha * (raw - state.edot_hat)
-    return state.edot_hat
+    return _dirty_estimator(tau_f)(state, e, dt)
 
 
 def velocity_estimate_tracking(state, e, dt, omega_n, zeta):
@@ -66,19 +86,23 @@ def velocity_estimate_tracking(state, e, dt, omega_n, zeta):
     omega_n^2) from e.  Light damping gives the transient gain above unity
     needed to read fast onsets at the threshold crossing.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    err = e - state.e_track
-    state.e_track += dt * (state.edot_hat + 2.0 * zeta * omega_n * err)
-    state.edot_hat += dt * (omega_n * omega_n * err)
-    return state.edot_hat
+    return _tracking_estimator(omega_n, zeta)(state, e, dt)
+
+
+def velocity_estimator(cfg):
+    """The configured estimator as ``f(state, e, dt)``, one update per sample.
+
+    A run selects it once, so the per-sample update neither dispatches on
+    ``cfg.estimator`` nor reads the settings again.
+    """
+    if cfg.estimator == "dirty":
+        return _dirty_estimator(cfg.tau_f)
+    return _tracking_estimator(cfg.omega_n, cfg.zeta)
 
 
 def update_velocity(cfg, state, e, dt):
     """Run the configured velocity estimator for one sample."""
-    if cfg.estimator == "dirty":
-        return velocity_estimate(state, e, dt, cfg.tau_f)
-    return velocity_estimate_tracking(state, e, dt, cfg.omega_n, cfg.zeta)
+    return velocity_estimator(cfg)(state, e, dt)
 
 
 def detect_events(cfg, state, e, edot_hat, t):

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, AttentionState, detect_events, update_velocity
+from .attention import (  # update_velocity: the per-layer tracer wraps it here
+    AttentionConfig,
+    AttentionState,
+    detect_events,
+    update_velocity,
+    velocity_estimator,
+)
 from .controller import ControllerConfig, control_input, lqr_gain, solve_lyapunov
 from .dynamics import (
     DIVERGENCE_LIMIT,
@@ -191,13 +197,52 @@ def default_config(scenario=1, preadapt=None, **overrides):
 # loop over the n terms of a sum costs more than the sum itself, and building
 # and zipping lists between the four stages costs as much again.  Each sum is
 # written out left to right, in the order of the per-element loops it
-# replaced, with the closed loop's matrices as float literals; the arithmetic
-# is therefore the same IEEE operations in the same order, and traces are
-# bit-identical to those of the earlier array implementation.
+# replaced, with the closed loop's matrices as float literals.
+#
+# The generator strength-reduces what the literals make trivial: a term with
+# a 0.0 coefficient and a 0.0 sum head are left out, a +-1.0 coefficient
+# becomes + v or - v, and thx + u and gamma * x_i are computed once per
+# stage.  Every remaining operation keeps its order.  Multiplying by +-1.0,
+# and a - b against a + (-1.0) * b, are exact.  Adding the dropped +-0.0
+# changes a finite sum only when the sum is itself a zero, and then only its
+# sign; the states start at +0.0 (unless an initial value is -0.0) and are
+# updated by addition, so the traces are bit-identical to those of the
+# earlier array implementation.  With a non-finite operand, 0.0 * inf is
+# NaN where the reduced sum may be inf or finite; the step's result is then
+# non-finite either way and the guard stops the run, though it may name
+# another component.
 
 
 def _literal(v):
     return f"({float(v)!r})"  # repr round-trips every float exactly
+
+
+def _sum(head, terms):
+    """Source of ``head op1 c1 * v1 op2 c2 * v2 ...``, summed left to right.
+
+    ``head`` is a float (a literal), a source expression or None; each term
+    is ``(op, c, v)`` with ``op`` "+" or "-", ``c`` a float literal or a
+    source expression, and ``v`` a source expression.  A literal 0.0 head
+    or coefficient drops out and a +-1.0 coefficient leaves ``v`` alone with
+    ``op`` flipped for -1.0.
+    """
+    parts = []
+    if isinstance(head, str):
+        parts.append(("+", head))
+    elif head is not None and head != 0.0:
+        parts.append(("+", _literal(head)))
+    for op, c, v in terms:
+        if isinstance(c, str):
+            parts.append((op, f"{c} * {v}"))
+        elif c in (1.0, -1.0):
+            parts.append((op if c > 0.0 else "+-"[op == "+"], v))
+        elif c != 0.0:
+            parts.append((op, f"{_literal(c)} * {v}"))
+    if not parts:
+        return "0.0"
+    (op, first), rest = parts[0], parts[1:]
+    return ("-" if op == "-" else "") + first + "".join(
+        f" {op} {term}" for op, term in rest)
 
 
 def _state_names(n, with_sens, sfx):
@@ -223,36 +268,48 @@ def _derivative_code(st, with_sens, exact_sens, sfx):
     names = _state_names(n, with_sens, sfx)
     x, xr, th = names[:n], names[n:2 * n], names[2 * n:3 * n]
     S = [names[3 * n + j * n:3 * n + (j + 1) * n] for j in range(2 * n)]
-    thx, u, s, gs = (f"{v}{sfx}" for v in ("thx", "u", "s", "gs"))
+    w, s, gs = (f"{v}{sfx}" for v in ("w", "s", "gs"))
+    thx = _sum(None, [("+", f"t{j}", x[j]) for j in R])
+    gain = [_sum(st.K[j], [("+", 1.0, th[j])]) for j in R]
+    u = _sum(st.k0 * st.r, [("-", g if g == th[j] else f"({g})", x[j])
+                            for j, g in enumerate(gain)])
     body = [
-        f"{thx} = 0.0" + "".join(f" + t{j} * {x[j]}" for j in R),
-        f"{u} = {c(st.k0 * st.r)}"
-        + "".join(f" - ({c(st.K[j])} + {th[j]}) * {x[j]}" for j in R),
-        f"{s} = 0.0" + "".join(f" + ({x[j]} - {xr[j]}) * {c(st.PB[j])}" for j in R),
+        f"{w} = ({thx}) + ({u})",  # thx + u
+        f"{s} = " + _sum(None, [("+", st.PB[j], f"({x[j]} - {xr[j]})") for j in R]),
     ]
-    dy = [f"{c(st.B1r[i] * st.r)} + {c(st.B[i])} * ({thx} + {u})"
-          + "".join(f" + {c(st.A[i][j])} * {x[j]}" for j in R) for i in R]
-    dy += [c(st.Bsum[i] * st.r) + "".join(f" + {c(st.Ar[i][j])} * {xr[j]}" for j in R)
-           for i in R]
-    dy += [f"{c(st.gamma)} * {x[i]} * {s}" for i in R]
-    if with_sens:
-        # note e_v + x_r = x
-        a = [[c(st.Ar[i][j]) for j in R] for i in R]
-        bx = [[f"bx{i}_{j}{sfx}" for j in R] for i in R]
-        g = [[f"g{i}_{j}{sfx}" for j in R] for i in R]
-        for i in R:
-            for j in R:
-                if exact_sens:
-                    body.append(f"a{i}_{j}{sfx} = {a[i][j]} + {c(st.B[i])} * (t{j} - {th[j]})")
-                    a[i][j] = f"a{i}_{j}{sfx}"
-                body.append(f"{bx[i][j]} = {c(st.B[i])} * {x[j]}")
-                body.append(f"{g[i][j]} = {c(st.gamma)} * {x[i]} * {c(st.PB[j])}")
-        body.append(f"{gs} = {c(st.gamma)} * {s}")
-        dy += ["0.0" + "".join(f" + {a[i][j]} * {S[j][k]}" for j in R)
-               + "".join(f" - {bx[i][j]} * {S[n + j][k]}" for j in R)
-               for i in R for k in R]
-        dy += [f"{gs} * {S[i][k]}" + "".join(f" + {g[i][j]} * {S[j][k]}" for j in R)
-               for i in R for k in R]
+    dy = [_sum(st.B1r[i] * st.r, [("+", st.B[i], w)]
+               + [("+", st.A[i][j], x[j]) for j in R]) for i in R]
+    dy += [_sum(st.Bsum[i] * st.r, [("+", st.Ar[i][j], xr[j]) for j in R]) for i in R]
+    gx = [f"{c(st.gamma)} * {x[i]}" for i in R]
+    if with_sens:  # gamma * x_i is used n + 1 times
+        body += [f"gx{i}{sfx} = {gx[i]}" for i in R]
+        gx = [f"gx{i}{sfx}" for i in R]
+    dy += [f"{gx[i]} * {s}" for i in R]
+    if not with_sens:
+        return body, dy
+    # note e_v + x_r = x; a coefficient is a float literal or the name of a
+    # local, and None where it is a literal zero
+    a = [list(row) for row in st.Ar]
+    bx = [[None] * n for _ in R]
+    g = [[None] * n for _ in R]
+    for i in R:
+        for j in R:
+            if exact_sens and st.B[i] != 0.0:
+                a[i][j] = f"a{i}_{j}{sfx}"
+                body.append(f"{a[i][j]} = " + _sum(
+                    st.Ar[i][j], [("+", st.B[i], f"(t{j} - {th[j]})")]))
+            if st.B[i] != 0.0:
+                bx[i][j] = f"bx{i}_{j}{sfx}"
+                body.append(f"{bx[i][j]} = " + _sum(None, [("+", st.B[i], x[j])]))
+            if st.PB[j] != 0.0:
+                g[i][j] = f"g{i}_{j}{sfx}"
+                body.append(f"{g[i][j]} = {gx[i]} * {c(st.PB[j])}")
+    body.append(f"{gs} = {c(st.gamma)} * {s}")
+    dy += [_sum(None, [("+", a[i][j], S[j][k]) for j in R]
+                + [("-", bx[i][j], S[n + j][k]) for j in R if bx[i][j]])
+           for i in R for k in R]
+    dy += [_sum(f"{gs} * {S[i][k]}", [("+", g[i][j], S[j][k]) for j in R if g[i][j]])
+           for i in R for k in R]
     return body, dy
 
 
@@ -274,38 +331,100 @@ def _coupled_derivative_source(st, with_sens, exact_sens):
             + "    return [" + ",\n            ".join(dy) + "]\n")
 
 
-def _rk4_step_source(st, with_sens, exact_sens):
-    """Source of ``step(y, theta)``: one classical RK4 step of the coupled state.
+def _rk4_code(st, with_sens, exact_sens):
+    """Statements and expressions of one classical RK4 step of the coupled state.
 
-    The four evaluations of ``_coupled_derivative_source``'s expressions are
-    inlined, stage s's locals suffixed ``_s`` and its slopes named ``ks_i``.
+    Returns (lines, out): ``lines`` evaluate ``_derivative_code``'s
+    expressions four times over the state locals suffixed ``_1`` and ``t0,
+    t1, ...``, stage s's locals suffixed ``_s`` and its slopes named
+    ``ks_i``; ``out`` holds one expression per component of the new state.
     The step is ``(dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, the stage states
     ``y + (dt/2) k1``, ``y + (dt/2) k2`` and ``y + dt k3``, with ``dt/2``,
     ``dt`` and ``dt/6`` written in as literals.
     """
-    n = st.n
-    y = _state_names(n, with_sens, "_1")
-    size = range(len(y))
-    lines = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta")]
+    y = _state_names(st.n, with_sens, "_1")
+    lines = []
     for stage, h in ((1, None), (2, 0.5 * st.dt), (3, 0.5 * st.dt), (4, st.dt)):
         sfx = f"_{stage}"
         if h is not None:
             lines += [f"{v} = {y[i]} + {_literal(h)} * k{stage - 1}_{i}"
-                      for i, v in enumerate(_state_names(n, with_sens, sfx))]
+                      for i, v in enumerate(_state_names(st.n, with_sens, sfx))]
         body, dy = _derivative_code(st, with_sens, exact_sens, sfx)
         lines += body + [f"k{stage}_{i} = {expr}" for i, expr in enumerate(dy)]
     c = _literal(st.dt / 6.0)
-    out = [f"{y[i]} + {c} * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
-           for i in size]
+    out = [f"{v} + {c} * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+           for i, v in enumerate(y)]
+    return lines, out
+
+
+def _rk4_step_source(st, with_sens, exact_sens):
+    """Source of ``step(y, theta)``: ``_rk4_code``'s step of the list ``y``."""
+    lines, out = _rk4_code(st, with_sens, exact_sens)
+    lines = [_unpack(_state_names(st.n, with_sens, "_1"), "y"),
+             _unpack([f"t{j}" for j in range(st.n)], "theta")] + lines
     return ("def step(y, theta):\n" + "".join(f"    {line}\n" for line in lines)
             + "    return [" + ",\n            ".join(out) + "]\n")
+
+
+def _segment_source(st, with_sens, exact_sens):
+    """Source of ``segment(...)``: ``run``'s loop over the steps between two
+    returns to Python, with ``_rk4_code``'s step inlined.
+
+    It enters at row k, whose events ``run`` has handled, and for each row
+    does the row's bookkeeping (a phase's peak |e| and cost, the learner's
+    accumulation, the trace row), the RK4 step, the guard, then e, the
+    rate estimate and the event flags of row k + 1.  It returns on an event,
+    at row ``stop``, when row k reaches ``next_start``'s schedule piece, or
+    on divergence, with ``(error, k, e, edot, flags, peak, E, y)``; after a
+    divergence, k is the row the failed step started from and ``y`` the state
+    that step made.
+    """
+    n, iy = st.n, st.iy
+    lines, out = _rk4_code(st, with_sens, exact_sens)
+    y = _state_names(n, with_sens, "_1")
+    dt = _literal(st.dt)
+    state = "[" + ", ".join(y) + "]"
+    book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
+    if with_sens:  # a phase is always open while the learner runs
+        book.append("accumulate_cost(sens, e, ("
+                    + "".join(f"{v}, " for v in y[3 * n + iy * n:3 * n + (iy + 1) * n])
+                    + f"), {dt})")
+    else:
+        book = ["if tracking:"] + [f"    {line}" for line in book]
+    # each new component depends only on its own old one and the slopes,
+    # so the state is updated in place
+    loop = (book + [f"rows += ({', '.join(y[:3 * n])}, e, edot)"]
+            + lines + [f"{v} = {expr}" for v, expr in zip(y, out)] + [
+        f"if not {' + '.join(f'abs({v})' for v in y)} <= {_literal(DIVERGENCE_LIMIT)}:",
+        "    try:",
+        f"        check_bounded({state}, k * {dt} + {dt}, {3 * n})",
+        "    except DivergenceError as exc:",
+        f"        return exc, k, e, edot, None, peak, E, {state}",
+    ] + [
+        "k += 1",
+        f"e = x{iy}_1 - xr{iy}_1",
+        f"edot = estimate(att, e, {dt})",
+        f"flags = detect_events(att_cfg, att, e, edot, k * {dt})",
+        f"if flags[2] or k == stop or next_start <= k * {dt}:",
+        f"    return None, k, e, edot, flags, peak, E, {state}",
+    ])
+    head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta"),
+            "while True:"]
+    return (f"def segment({_SEGMENT_ARGS}):\n"
+            + "".join(f"    {line}\n" for line in head)
+            + "".join(f"        {line}\n" for line in loop))
+
+
+_SEGMENT_ARGS = ("y, theta, k, stop, next_start, e, edot, peak, E, tracking, rows, "
+                 "att, att_cfg, estimate, detect_events, sens, accumulate_cost, "
+                 "check_bounded")
 
 
 @functools.lru_cache(maxsize=64)
 def _compile(source, name):
     """Function ``name`` defined by ``source``; cached by the text, so the
     many ``_Stepper``s of a sweep or a grad-check compile each loop once."""
-    namespace = {"inf": math.inf, "nan": math.nan}
+    namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError}
     exec(source, namespace)
     return namespace[name]
 
@@ -315,6 +434,7 @@ class _Stepper:
 
     def __init__(self, cfg, ctrl, ref):
         self.n = cfg.plant.n
+        self.iy = cfg.plant.iy
         self.A = cfg.plant.A.tolist()
         self.B = cfg.plant.B.tolist()
         self.B1r = cfg.plant.B1r.tolist()
@@ -327,12 +447,21 @@ class _Stepper:
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
         self._steps = {}         # compiled on first use, per (with_sens, exact_sens)
+        self._segments = {}
         self._theta_src = None   # last theta passed in, and its float list
         self._theta = None
 
     def derivative(self, with_sens, exact_sens):
         """The compiled ``f(y, theta)`` the step integrates."""
         return _compile(_coupled_derivative_source(self, with_sens, exact_sens), "f")
+
+    def segment(self, with_sens, exact_sens):
+        """The compiled ``segment`` of ``run``'s loop (``_segment_source``)."""
+        key = (with_sens, exact_sens)
+        fn = self._segments.get(key)
+        if fn is None:
+            fn = self._segments[key] = _compile(_segment_source(self, *key), "segment")
+        return fn
 
     def step(self, y, theta, with_sens=False, exact_sens=False, t=None):
         """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
@@ -442,7 +571,14 @@ def _write_rows(trace, rows, start, n, ctrl, r):
 
 
 def run(cfg):
-    """Simulate one closed-loop run; deterministic given config and seed."""
+    """Simulate one closed-loop run; deterministic given config and seed.
+
+    Per row k: e and its rate estimate, event detection, the onset's
+    reinitialization or the recovery's phase close, the row's bookkeeping,
+    then the RK4 step to row k + 1.  The rows between two events, schedule
+    pieces or trace chunks run in a compiled ``segment``; this loop handles
+    what happens at their ends.
+    """
     ctrl, ref = build_controller(cfg)
     stepper = _Stepper(cfg, ctrl, ref)
     n = cfg.plant.n
@@ -451,6 +587,7 @@ def run(cfg):
     N = cfg.num_steps
     schedule = cfg.schedule
     att_cfg = cfg.attention
+    estimate = velocity_estimator(att_cfg)
 
     net = None
     if cfg.preadapt.enabled:
@@ -464,6 +601,7 @@ def run(cfg):
     phases = []
     phase_reports = []
     open_phase = None
+    tracking = False    # open_phase is not None and not open_phase.recovered
 
     trace = {
         "t": np.arange(N + 1) * dt,
@@ -478,7 +616,6 @@ def run(cfg):
         "Ed": np.zeros(N + 1, dtype=np.int8),
     }
     rows = []           # the rows not yet written to the trace, flat
-    chunk = _TRACE_CHUNK * (3 * n + 2)
     written = 0
     pieces = []         # (first step, theta) of each schedule piece reached
     next_start = -math.inf   # theta_at runs again once t reaches this
@@ -490,15 +627,18 @@ def run(cfg):
     status, error, error_step = "ok", None, None
     steps_done = N
 
-    for k in range(N + 1):
+    k = 0
+    e = y[iy] - y[n + iy]
+    edot = estimate(att, e, dt)
+    flags = detect_events(att_cfg, att, e, edot, 0.0)
+    while True:
         t = k * dt
         if next_start <= t:
             theta = theta_at(schedule, t)
             next_start = _next_piece_start(schedule, t)
             pieces.append((k, theta))
-        e = y[iy] - y[n + iy]
-        edot = update_velocity(att_cfg, att, e, dt)
-        e_u, e_d, att_flag = detect_events(att_cfg, att, e, edot, t)
+            theta_floats = theta.tolist()
+        e_u, e_d, att_flag = flags
 
         if e_u:
             trace["Eu"][k] = 1
@@ -522,16 +662,18 @@ def run(cfg):
                 snapshot=snapshot, step_u=k,
             )
             phases.append(open_phase)
+            tracking = True
 
-        # a phase's peak runs from its onset row to its recovery row
-        if open_phase is not None and not open_phase.recovered:
-            open_phase.peak_abs_e = max(open_phase.peak_abs_e, abs(e))
         if e_d:
             trace["Ed"][k] = 1
-        if e_d and open_phase is not None and not open_phase.recovered:
+        # a phase's peak runs from its onset row to its recovery row
+        if tracking and (e_d or k == N):
+            open_phase.peak_abs_e = max(open_phase.peak_abs_e, abs(e))
+        if e_d and tracking:
             open_phase.t_d = t
             open_phase.step_d = k
             open_phase.recovered = True
+            tracking = False
             if cfg.preadapt.learner_enabled and sens.active:
                 _store_sensitivities(sens, y)
                 net, report = close_phase(
@@ -541,20 +683,23 @@ def run(cfg):
                 report["mode"] = cfg.preadapt.gradient_mode.value
                 phase_reports.append(report)
 
-        if open_phase is not None and not open_phase.recovered and k < N:
-            open_phase.E_phase += abs(e) * dt
-        if sens.active and k < N:
-            accumulate_cost(sens, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
-
-        rows += y[:3 * n]
-        rows += (e, edot)
         if k == N:
+            rows += y[:3 * n]
+            rows += (e, edot)
             break
-        if len(rows) == chunk:
+        if k - written == _TRACE_CHUNK:
             written = _write_rows(trace, rows, written, n, ctrl, cfg.r)
-        try:
-            y = stepper.step(y, theta, sens.active, exact_sens, t)
-        except DivergenceError as exc:
+        segment = stepper.segment(sens.active, exact_sens)
+        peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
+                   else (0.0, 0.0))
+        exc, k, e, edot, flags, peak, E, y = segment(
+            y, theta_floats, k, min(written + _TRACE_CHUNK, N), next_start, e, edot,
+            peak, E, tracking, rows, att, att_cfg, estimate, detect_events,
+            sens, accumulate_cost, check_bounded,
+        )
+        if tracking:
+            open_phase.peak_abs_e, open_phase.E_phase = peak, E
+        if exc is not None:
             status = "diverged"
             error = str(exc)
             error_step = k

@@ -24,7 +24,7 @@ from preadaptive_control import (
     scenario_schedule,
 )
 from preadaptive_control.dynamics import rk4_step
-from preadaptive_control.simengine import _Stepper, build_controller
+from preadaptive_control.simengine import _Stepper, _rk4_step_source, build_controller
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,14 @@ def test_compiled_step_is_rk4_of_compiled_derivative(n, with_sens, exact):
         want = rk4_step(lambda t, v: np.array(f(v.tolist(), theta)), y, 0.0, cfg.dt)
         got = st.step(y.tolist(), theta, with_sens, exact, 0.0)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("with_sens, exact", [(False, False), (True, False), (True, True)])
+def test_compiled_step_has_no_trivial_products(stepper, with_sens, exact):
+    # the B-747 loop's zero and unit literals leave no product or sum head
+    src = _rk4_step_source(stepper, with_sens, exact)
+    for trivial in ("(0.0) *", "(1.0) *", "(-1.0) *", "= 0.0 +", "(0.0) -"):
+        assert trivial not in src
 
 
 @pytest.mark.parametrize("index, value", [(0, np.nan), (4, np.nan), (4, np.inf)])
