@@ -410,14 +410,11 @@ def _segment_source(st, with_sens, exact_sens):
     ])
     head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta"),
             "while True:"]
-    return (f"def segment({_SEGMENT_ARGS}):\n"
+    return ("def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking,"
+            " rows, att, att_cfg, estimate, detect_events, sens, accumulate_cost,"
+            " check_bounded):\n"
             + "".join(f"    {line}\n" for line in head)
             + "".join(f"        {line}\n" for line in loop))
-
-
-_SEGMENT_ARGS = ("y, theta, k, stop, next_start, e, edot, peak, E, tracking, rows, "
-                 "att, att_cfg, estimate, detect_events, sens, accumulate_cost, "
-                 "check_bounded")
 
 
 @functools.lru_cache(maxsize=64)
