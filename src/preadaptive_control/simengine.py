@@ -86,6 +86,14 @@ class RunConfig:
             require_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        # a subnormal dt overflows the step count, and one past the horizon
+        # rounds it to no step at all
+        steps = self.schedule.horizon / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError(
+                f"dt {self.dt} does not give a whole number of steps over the "
+                f"horizon {self.schedule.horizon}"
+            )
         # the run samples t = k*dt: the horizon and every jump must be grid
         # points, to a tolerance in steps that does not grow with the horizon
         for name, when in [("horizon", self.schedule.horizon)] + [

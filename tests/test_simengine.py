@@ -76,6 +76,14 @@ def test_config_rejects_jump_time_off_the_dt_grid():
         default_config(1, schedule=sched)
 
 
+@pytest.mark.parametrize("dt", [1e-320, 1e9])
+def test_config_rejects_dt_without_a_whole_step(dt):
+    # 60 / 1e-320 overflows to inf, which round() cannot convert; 60 / 1e9
+    # rounds to a run of no step
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        default_config(1, dt=dt)
+
+
 def test_config_accepts_grid_aligned_dt():
     assert default_config(2, dt=5e-4).num_steps == 280000
     assert default_config(3, dt=2e-3).num_steps == 70000
