@@ -274,6 +274,24 @@ def test_divergence_truncates_trace_and_reports():
     assert np.all(np.isfinite(res.trace["x"]))
 
 
+def test_divergence_inside_a_phase_keeps_its_metrics():
+    # a huge reinit at the t=5.401 onset diverges two steps later: the open
+    # phase keeps the peak and cost of every row up to the failing step
+    sched = ThetaSchedule(pieces=[(0.0, 0.1 * np.ones(3)), (5.0, np.ones(3))], horizon=12.0)
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=1, init_scale=1e5)
+    res = run(default_config(1, preadapt=pre, schedule=sched))
+    assert (res.status, res.error_step, len(res.trace["t"])) == ("diverged", 5402, 5403)
+    (phase,) = res.phases
+    assert (phase.step_u, phase.recovered) == (5401, False)
+    mag = np.abs(res.trace["e"])
+    dt = res.config.dt
+    assert phase.peak_abs_e == max(mag[5401], mag[5402])
+    assert phase.E_phase == 0.0 + mag[5401] * dt + mag[5402] * dt
+    assert res.phase_reports == [{
+        "t_u": 5.401, "t_d": None, "E_acc": phase.E_phase, "grad_W_norm": None,
+        "grad_V_norm": None, "updated": False, "mode": "approx"}]
+
+
 # --------------------------------------------------------------------------
 # divergence guard of the RK4 step
 
