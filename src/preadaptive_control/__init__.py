@@ -46,6 +46,7 @@ from .simengine import (
     compare_results,
     default_config,
     grad_check,
+    phases_by_jump,
     run,
     scenario_schedule,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "grad_check",
     "grad_weights",
     "lqr_gain",
+    "phases_by_jump",
     "pi_hat",
     "pi_matrix",
     "plant_derivative",

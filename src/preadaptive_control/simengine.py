@@ -738,6 +738,20 @@ def run(cfg):
 # --------------------------------------------------------------------------
 # comparison
 
+def phases_by_jump(result):
+    """The phase that answers each schedule jump, keyed by jump time.
+
+    One jump can open more than one phase before the next jump; the phase
+    with the largest peak |e| answers it (the first of equal peaks).
+    """
+    by_jump = {}
+    for p in result.phases:
+        q = by_jump.get(p.jump_ref)
+        if p.jump_ref is not None and (q is None or p.peak_abs_e > q.peak_abs_e):
+            by_jump[p.jump_ref] = p
+    return by_jump
+
+
 def compare_results(res_a, res_b):
     """Match phases across two runs by the schedule jump they respond to."""
     sched_a = res_a.config.schedule
@@ -753,8 +767,8 @@ def compare_results(res_a, res_b):
     ):
         raise ConfigError("compared runs must share schedule, dt, and horizon")
 
-    by_jump_a = {p.jump_ref: p for p in reversed(res_a.phases) if p.jump_ref is not None}
-    by_jump_b = {p.jump_ref: p for p in reversed(res_b.phases) if p.jump_ref is not None}
+    by_jump_a = phases_by_jump(res_a)
+    by_jump_b = phases_by_jump(res_b)
     rows = []
     for tj in sched_a.jump_times:
         pa = by_jump_a.get(tj)

@@ -29,6 +29,7 @@ from preadaptive_control import (
     default_config,
     grad_check,
     lqr_gain,
+    phases_by_jump,
     run,
     solve_lyapunov,
     theta_init,
@@ -53,7 +54,7 @@ def _learner_settings(seed, mode=GradientMode.APPROX):
 
 
 def _phase_peaks(result):
-    return {p.jump_ref: p.peak_abs_e for p in result.phases}
+    return {j: p.peak_abs_e for j, p in phases_by_jump(result).items()}
 
 
 # --------------------------------------------------------------------------

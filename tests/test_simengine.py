@@ -17,6 +17,7 @@ from preadaptive_control import (
     compare_results,
     default_config,
     grad_check,
+    phases_by_jump,
     pi_matrix,
     plant_derivative,
     reference_derivative,
@@ -444,6 +445,28 @@ def test_compare_reports_t45_reduction(rac1_result, learner1_result):
     row = [r for r in rows if r["jump_t"] == 45.0][0]
     assert row["peak_a"] == pytest.approx(0.018740845213220267, abs=1e-12)
     assert row["reduction"] > 0.0
+
+
+def test_jump_with_two_phases_is_answered_by_the_larger_peak(rac2_result):
+    # scenario 2, learner seed 6 opens two phases after the t=70 jump: a short
+    # one at t_u=70.336 (peak 0.0072) and the main response at t_u=71.351
+    # (peak 0.0178); the jump is judged on the main response
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=6)
+    res = run(default_config(2, preadapt=pre))
+    at70 = [p for p in res.phases if p.jump_ref == 70.0]
+    assert [p.t_u for p in at70] == [70.336, 71.351]
+    assert phases_by_jump(res)[70.0] is at70[1]
+    row = [r for r in compare_results(rac2_result, res) if r["jump_t"] == 70.0][0]
+    assert (row["t_u_b"], row["peak_b"], row["E_b"]) == (
+        at70[1].t_u, at70[1].peak_abs_e, at70[1].E_phase)
+    assert row["reduction"] == 1.0 - at70[1].peak_abs_e / row["peak_a"]
+    assert row["reduction"] == pytest.approx(0.343, abs=1e-3)
+
+
+def test_phases_by_jump_keeps_the_only_phase_of_each_jump(learner1_result):
+    by_jump = phases_by_jump(learner1_result)
+    assert sorted(by_jump) == [5.0, 20.0, 45.0]
+    assert all(p.jump_ref == j for j, p in by_jump.items())
 
 
 # --------------------------------------------------------------------------
