@@ -9,7 +9,13 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure.
 """
 
 import argparse
+import contextlib
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,7 +214,50 @@ def _fmt(v):
 _TRACE_CHUNK = 256
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_chunks(f, columns, row_fmt, lo, hi):
+    """Format trace rows [lo, hi) to f, one `%` operation per chunk of rows.
+
+    lo is a chunk boundary; hi is one too, or the end of the trace.
+    """
+    for a in range(lo, hi, _TRACE_CHUNK):
+        block = np.column_stack([c[a:a + _TRACE_CHUNK] for c in columns])
+        f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _write_part_in_child(tmp, columns, row_fmt, lo, hi):
+    """Body of a forked writer: format rows [lo, hi) into tmp, then _exit.
+
+    os._exit skips the parent's stdio buffers and atexit hooks, which the
+    child inherited and must not flush or run.  The child only slices numpy
+    arrays and formats strings: it calls no BLAS routine and takes no lock
+    that another thread of the parent could have held at the fork.
+    """
+    code = 1
+    try:
+        _write_chunks(tmp, columns, row_fmt, lo, hi)
+        tmp.flush()
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 def write_trace_csv(result, path):
+    """Write the trace as CSV, formatted by one process per available CPU.
+
+    The 256-row chunks are split into contiguous parts. The parent formats
+    the first part; each other part is formatted by a forked child into an
+    unnamed temporary file in the output directory, which the parent then
+    appends in order. The bytes do not depend on the number of parts.
+    """
     n = result.config.plant.n
     tr = result.trace
     cols = (
@@ -221,13 +270,42 @@ def write_trace_csv(result, path):
         + ["u", "Eu", "Ed"]
     )
     keys = ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "u", "Eu", "Ed")
+    columns = [tr[key] for key in keys]
     # '%.17g' gives the same text as _fmt; the event flags are ints
     row_fmt = "%.17g," * (len(cols) - 2) + "%d,%d\n"
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for a in range(0, tr["t"].shape[0], _TRACE_CHUNK):
-            block = np.column_stack([tr[key][a:a + _TRACE_CHUNK] for key in keys])
-            f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    rows = tr["t"].shape[0]
+    chunks = -(-rows // _TRACE_CHUNK)
+    parts = max(1, min(_cpu_count(), chunks)) if hasattr(os, "fork") else 1
+    edges = [min(rows, k * chunks // parts * _TRACE_CHUNK) for k in range(parts + 1)]
+
+    children = []   # (pid, part file, rows), in part order, not yet reaped
+    with open(path, "w") as f, contextlib.ExitStack() as part_files:
+        try:
+            for lo, hi in zip(edges[1:-1], edges[2:]):
+                tmp = part_files.enter_context(
+                    tempfile.TemporaryFile("w+", dir=Path(path).parent))
+                pid = os.fork()
+                if pid == 0:
+                    _write_part_in_child(tmp, columns, row_fmt, lo, hi)
+                children.append((pid, tmp, f"{lo}-{hi}"))
+            f.write(",".join(cols) + "\n")
+            _write_chunks(f, columns, row_fmt, edges[0], edges[1])
+            f.flush()
+            while children:
+                pid, tmp, part_rows = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if status != 0:
+                    raise RuntimeError(
+                        f"trace writer of rows {part_rows} exited with status "
+                        f"{os.waitstatus_to_exitcode(status)}")
+                # copied a buffer at a time, so the parent never holds a part
+                tmp.seek(0)
+                shutil.copyfileobj(tmp.buffer, f.buffer)
+        finally:
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _config_echo(cfg):

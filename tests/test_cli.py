@@ -1,11 +1,14 @@
+import hashlib
 import importlib.resources
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from preadaptive_control import cli
+from preadaptive_control import ThetaSchedule, cli, default_config
+from preadaptive_control import run as sim_run
 
 
 def scenario_path(name):
@@ -166,6 +169,113 @@ def test_trace_csv_round_trips_doubles(short_scenario, tmp_path):
     data = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
     assert np.array_equal(data["e"], res.trace["e"])
     assert np.array_equal(data["x2"], res.trace["x"][:, 1])
+
+
+#: sha256 of short_scenario's trace.csv with the u field cut from every line,
+#: recorded with the single-process writer.  u is numpy's BLAS dot product,
+#: which may differ in the last bit between BLAS builds (see test_simengine).
+SHORT_TRACE_SHA256 = "b7115b01d3202a4b468e0c790e661b6abb0b3a32c99aa2fe801ca61bb1975803"
+
+
+def _digest_without_u(text):
+    lines = text.splitlines()
+    iu = lines[0].split(",").index("u")
+    h = hashlib.sha256()
+    for line in lines:
+        fields = line.split(",")
+        del fields[iu]
+        h.update((",".join(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_trace_csv_text_is_pinned(short_scenario, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OK
+    assert _digest_without_u((out / "trace.csv").read_text()) == SHORT_TRACE_SHA256
+
+
+@pytest.fixture(scope="module")
+def writer_traces():
+    """A 1101-row trace (five chunks, the last one partial) and a trace cut
+    short at row 1010 by a divergence."""
+    ones = np.ones(3)
+    ok = sim_run(default_config(1, schedule=ThetaSchedule(
+        pieces=[(0.0, 0.1 * ones), (0.5, ones)], horizon=1.1)))
+    diverged = sim_run(default_config(1, schedule=ThetaSchedule(
+        pieces=[(0.0, 0.1 * ones), (1.0, 3000.0 * ones)], horizon=5.0)))
+    assert (len(ok.trace["t"]), ok.status) == (1101, "ok")
+    assert (len(diverged.trace["t"]), diverged.status) == (1010, "diverged")
+    return {"ok": ok, "diverged": diverged}
+
+
+def _single_process_bytes(result, tmp_path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_cpu_count", lambda: 1)
+        cli.write_trace_csv(result, tmp_path / "ref.csv")
+    return (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("which", ["ok", "diverged"])
+def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_path,
+                                                     monkeypatch):
+    res = writer_traces[which]
+    ref = _single_process_bytes(res, tmp_path, monkeypatch)
+    assert ref.count(b"\n") == len(res.trace["t"]) + 1
+    chunks = -(-len(res.trace["t"]) // cli._TRACE_CHUNK)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for cpus in (2, 3, chunks + 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        forks.clear()
+        out = tmp_path / f"cpus{cpus}"
+        out.mkdir()
+        cli.write_trace_csv(res, out / "trace.csv")
+        assert len(forks) == min(cpus, chunks) - 1
+        assert (out / "trace.csv").read_bytes() == ref
+        assert os.listdir(out) == ["trace.csv"]
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_trace_writer_failure_reaps_children(writer_traces, failing, tmp_path,
+                                             monkeypatch):
+    # the parent formats the part from row 0, each forked child a later part
+    real_write_chunks = cli._write_chunks
+
+    def write_chunks(f, columns, row_fmt, lo, hi):
+        if (lo == 0) == (failing == "parent"):
+            raise OSError(f"planted failure in the {failing}")
+        real_write_chunks(f, columns, row_fmt, lo, hi)
+
+    monkeypatch.setattr(cli, "_write_chunks", write_chunks)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    expected = RuntimeError if failing == "child" else OSError
+    with pytest.raises(expected, match="exited with status 1|planted failure"):
+        cli.write_trace_csv(writer_traces["ok"], tmp_path / "trace.csv")
+    _assert_no_child_left()
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_trace_writer_without_fork_is_one_process(writer_traces, tmp_path,
+                                                  monkeypatch):
+    res = writer_traces["ok"]
+    ref = _single_process_bytes(res, tmp_path, monkeypatch)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    cli.write_trace_csv(res, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == ref
 
 
 def test_cmd_run_config_error_exit(tmp_path):
