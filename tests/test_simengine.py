@@ -463,12 +463,6 @@ def test_jump_with_two_phases_is_answered_by_the_larger_peak(rac2_result):
     assert row["reduction"] == pytest.approx(0.343, abs=1e-3)
 
 
-def test_phases_by_jump_keeps_the_only_phase_of_each_jump(learner1_result):
-    by_jump = phases_by_jump(learner1_result)
-    assert sorted(by_jump) == [5.0, 20.0, 45.0]
-    assert all(p.jump_ref == j for j, p in by_jump.items())
-
-
 # --------------------------------------------------------------------------
 # gradient checking harness
 
