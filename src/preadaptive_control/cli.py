@@ -5,7 +5,8 @@ Subcommands:
   compare    run two scenario files and tabulate per-phase peak reductions
   grad-check validate the sensitivity-ODE gradient against finite differences
 
-Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure.
+Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure,
+5 output write failed.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .errors import ConfigError, DivergenceError
 from .learner import GradientMode
 from .preadapt import PreadaptNet
 from .simengine import (
+    _TRACE_CHUNK,
     PreadaptSettings,
     RunConfig,
     build_b747,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_TOLERANCE = 4
+EXIT_OUTPUT = 5
 
 _GRAD_CHECK_TOL = 1e-3
 
@@ -209,9 +212,21 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-#: Rows converted to Python floats at a time: whole-trace tolist() would
-#: hold every value of the trace as a Python object at once.
-_TRACE_CHUNK = 256
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """Text file open at a temporary name beside ``path``, renamed onto
+    ``path`` when the block succeeds and removed when it raises, so ``path``
+    never holds a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _cpu_count():
@@ -257,6 +272,7 @@ def write_trace_csv(result, path):
     the first part; each other part is formatted by a forked child into an
     unnamed temporary file in the output directory, which the parent then
     appends in order. The bytes do not depend on the number of parts.
+    ``path`` is replaced only once the whole trace is written.
     """
     n = result.config.plant.n
     tr = result.trace
@@ -279,7 +295,7 @@ def write_trace_csv(result, path):
     edges = [min(rows, k * chunks // parts * _TRACE_CHUNK) for k in range(parts + 1)]
 
     children = []   # (pid, part file, rows), in part order, not yet reaped
-    with open(path, "w") as f, contextlib.ExitStack() as part_files:
+    with _replaced_on_success(path) as f, contextlib.ExitStack() as part_files:
         try:
             for lo, hi in zip(edges[1:-1], edges[2:]):
                 tmp = part_files.enter_context(
@@ -387,12 +403,12 @@ def write_summary(result, path):
         ],
         "final_weights": None if result.net is None else result.net.to_dict(),
     }
-    with open(path, "w") as f:
+    with _replaced_on_success(path) as f:
         yaml.safe_dump(doc, f, sort_keys=False)
 
 
 def write_compare_csv(rows, path):
-    with open(path, "w") as f:
+    with _replaced_on_success(path) as f:
         f.write("jump_t,t_u_a,t_u_b,peak_a,peak_b,reduction_pct,E_a,E_b\n")
         for r in rows:
             f.write(
@@ -411,13 +427,24 @@ def write_compare_csv(rows, path):
 # --------------------------------------------------------------------------
 # subcommands
 
+def _output_failed(exc):
+    print(f"error: output write failed: {exc}", file=sys.stderr)
+    return EXIT_OUTPUT
+
+
 def cmd_run(args):
     cfg = _apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_failed(exc)
     result = run(cfg)
-    write_trace_csv(result, out / "trace.csv")
-    write_summary(result, out / "summary.yaml")
+    try:
+        write_trace_csv(result, out / "trace.csv")
+        write_summary(result, out / "summary.yaml")
+    except (OSError, RuntimeError) as exc:   # RuntimeError: a forked writer failed
+        return _output_failed(exc)
     if result.status == "diverged":
         print(f"error: divergence at step {result.error_step}: {result.error}",
               file=sys.stderr)
@@ -431,7 +458,10 @@ def cmd_compare(args):
     cfg_a = _apply_overrides(load_scenario(args.scenario_a), args)
     cfg_b = _apply_overrides(load_scenario(args.scenario_b), args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_failed(exc)
     res_a = run(cfg_a)
     res_b = run(cfg_b)
     for name, res in (("A", res_a), ("B", res_b)):
@@ -439,7 +469,10 @@ def cmd_compare(args):
             print(f"error: run {name} diverged: {res.error}", file=sys.stderr)
             return EXIT_DIVERGED
     rows = compare_results(res_a, res_b)
-    write_compare_csv(rows, out / "compare.csv")
+    try:
+        write_compare_csv(rows, out / "compare.csv")
+    except OSError as exc:
+        return _output_failed(exc)
     print("jump_t    t_u(A)    t_u(B)    peak(A)     peak(B)     reduction")
     for r in rows:
         print(

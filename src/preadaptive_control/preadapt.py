@@ -5,17 +5,38 @@ width h to an n-vector; when an onset event fires, the current estimate is
 replaced by that output.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 
 
+def _logistic(v):
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:   # where C's exp returns inf, and 1.0 / inf is 0.0
+        return 0.0
+
+
 def sigmoid(x):
-    """Element-wise logistic 1 / (1 + exp(-x)); saturates, never overflows."""
-    return expit(np.asarray(x, dtype=float))
+    """Element-wise logistic 1 / (1 + exp(-x)); saturates, never overflows.
+
+    Same shape as ``x`` with float64 entries; a 0-d input gives a numpy
+    scalar, and NaN stays NaN.  Each entry is ``1.0 / (1.0 + math.exp(-v))``,
+    bit for bit scipy's ``expit``: both round the same two double operations
+    around the C library's ``exp``, which ``math.exp`` calls.  ``numpy.exp``
+    is numpy's own ``exp``, so the array form ``1 / (1 + np.exp(-x))``
+    differs in the last bit for about 2% of inputs.  Below v = -709.78,
+    ``exp(-v)`` overflows: C's ``exp`` returns inf and ``expit`` gives 0.0,
+    where ``math.exp`` raises, so that case maps to 0.0 too (the true value
+    is below 6e-309).  The Python loop is cheap at the network's hidden width.
+    """
+    a = np.asarray(x, dtype=float)
+    out = np.array([_logistic(v) for v in a.ravel().tolist()], dtype=float)
+    out = out.reshape(a.shape)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -552,7 +552,10 @@ def _next_piece_start(schedule, t):
     return math.inf
 
 
-#: trace rows buffered as floats between writes to the trace arrays
+#: Trace rows handled as Python floats at a time: buffered between writes to
+#: the trace arrays here, and formatted per `%` operation by cli's writer.
+#: Whole-trace tolist() would hold every value of the trace as a Python
+#: object at once.
 _TRACE_CHUNK = 256
 
 
@@ -753,7 +756,14 @@ def phases_by_jump(result):
 
 
 def compare_results(res_a, res_b):
-    """Match phases across two runs by the schedule jump they respond to."""
+    """Match phases across two runs by the schedule jump they respond to.
+
+    A diverged run is refused: its last phase never closed, so its peak
+    would not be a phase's peak.
+    """
+    for name, res in (("first", res_a), ("second", res_b)):
+        if res.status == "diverged":
+            raise DivergenceError(f"the {name} compared run diverged: {res.error}")
     sched_a = res_a.config.schedule
     sched_b = res_b.config.schedule
     if (

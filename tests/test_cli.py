@@ -265,7 +265,8 @@ def test_trace_writer_failure_reaps_children(writer_traces, failing, tmp_path,
     with pytest.raises(expected, match="exited with status 1|planted failure"):
         cli.write_trace_csv(writer_traces["ok"], tmp_path / "trace.csv")
     _assert_no_child_left()
-    assert os.listdir(tmp_path) == ["trace.csv"]
+    # neither a truncated trace.csv nor a temporary file is left
+    assert os.listdir(tmp_path) == []
 
 
 def test_trace_writer_without_fork_is_one_process(writer_traces, tmp_path,
@@ -276,6 +277,45 @@ def test_trace_writer_without_fork_is_one_process(writer_traces, tmp_path,
     monkeypatch.delattr(os, "fork")
     cli.write_trace_csv(res, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("failing", ["trace", "summary"])
+def test_cmd_run_output_failure_exit(short_scenario, failing, tmp_path, monkeypatch,
+                                     capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace.csv").write_text("previous trace\n")
+    real_dump = cli.yaml.safe_dump
+
+    def failing_write_chunks(f, columns, row_fmt, lo, hi):
+        raise OSError("planted failure in the trace writer")
+
+    def failing_dump(doc, f, **kwargs):
+        real_dump(doc, f, **kwargs)
+        raise OSError("planted failure in the summary writer")
+
+    if failing == "trace":
+        monkeypatch.setattr(cli, "_write_chunks", failing_write_chunks)
+    else:
+        monkeypatch.setattr(cli.yaml, "safe_dump", failing_dump)
+    assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OUTPUT
+    assert "planted failure" in capsys.readouterr().err
+    # no summary.yaml and no temporary file; trace.csv is the old file or whole
+    assert os.listdir(out) == ["trace.csv"]
+    trace = (out / "trace.csv").read_text()
+    if failing == "trace":
+        assert trace == "previous trace\n"
+    else:
+        assert trace.startswith("t,x1,") and trace.count("\n") == 30002
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unwritable_output_exit(short_scenario, command, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    scenarios = [short_scenario] * (2 if command == "compare" else 1)
+    code = cli.main([command, *scenarios, "--out", str(blocker / "o")])
+    assert code == cli.EXIT_OUTPUT
 
 
 def test_cmd_run_config_error_exit(tmp_path):

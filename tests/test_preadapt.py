@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import preadaptive_control
 from preadaptive_control import (
     ConfigError,
     PreadaptNet,
@@ -29,6 +36,58 @@ def test_sigmoid_saturates_without_overflow():
     assert np.isfinite(v)
     assert 1.0 - 1e-12 < v <= 1.0
     assert sigmoid(-1000.0) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "v", [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 746.0, -746.0, math.inf, -math.inf])
+def test_sigmoid_edge_values_match_closed_form(v):
+    # e^v / (1 + e^v) never overflows for v < 0
+    ev = math.exp(-abs(v))
+    closed = 1.0 / (1.0 + ev) if v >= 0 else ev / (1.0 + ev)
+    s = sigmoid(v)
+    assert isinstance(s, np.float64)
+    if v < -709.78:
+        # exp(-v) overflows: 0.0, within one subnormal of the true value
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+        assert closed <= 5e-324
+    else:
+        assert s == closed
+
+
+def test_sigmoid_nan_stays_nan():
+    assert math.isnan(sigmoid(math.nan))
+    out = sigmoid(np.array([1.0, math.nan]))
+    assert math.isnan(out[1]) and out[0] == sigmoid(1.0)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_sigmoid_keeps_shape_and_dtype(shape):
+    x = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)
+    out = sigmoid(x)
+    assert np.shape(out) == shape and out.dtype == np.float64
+    assert isinstance(out, np.float64 if shape == () else np.ndarray)
+    origin = sigmoid(0.0)
+    assert isinstance(origin, np.float64) and origin == 0.5
+
+
+def test_sigmoid_equals_scipy_expit_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20201)
+    x = np.concatenate([rng.uniform(-800.0, 800.0, 100_000),
+                        rng.uniform(-40.0, 40.0, 20_000)]).reshape(-1, 40)
+    assert np.array_equal(sigmoid(x).view(np.uint64), special.expit(x).view(np.uint64))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import preadaptive_control, preadaptive_control.cli\n"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
+    )
+    src = str(Path(preadaptive_control.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

@@ -447,6 +447,17 @@ def test_compare_reports_t45_reduction(rac1_result, learner1_result):
     assert row["reduction"] > 0.0
 
 
+def test_compare_refuses_a_diverged_run(rac1_result):
+    # huge initial weights reinitialize theta_hat far off at the t=5 onset;
+    # the run diverges with the t=5 phase still open
+    pre = PreadaptSettings(enabled=True, learner_enabled=True, seed=1, init_scale=1e5)
+    res = run(default_config(1, preadapt=pre))
+    assert (res.status, res.error_step) == ("diverged", 5402)
+    for a, b in ((rac1_result, res), (res, rac1_result)):
+        with pytest.raises(DivergenceError, match="diverged"):
+            compare_results(a, b)
+
+
 def test_jump_with_two_phases_is_answered_by_the_larger_peak(rac2_result):
     # scenario 2, learner seed 6 opens two phases after the t=70 jump: a short
     # one at t_u=70.336 (peak 0.0072) and the main response at t_u=71.351
