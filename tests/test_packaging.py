@@ -37,7 +37,7 @@ def test_package_imports_only_stdlib_itself_and_declared_dependencies():
     assert declared == {"numpy", "yaml"}
     allowed = set(sys.stdlib_module_names) | {"preadaptive_control"} | declared
     sources = sorted(PACKAGE.glob("*.py"))
-    assert len(sources) >= 9
+    assert sources
     stray = [
         f"{path.name}:{line} imports {module}"
         for path in sources

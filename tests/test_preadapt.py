@@ -23,7 +23,8 @@ from preadaptive_control import (
 # sigmoid
 
 def test_sigmoid_origin():
-    assert sigmoid(0.0) == 0.5
+    origin = sigmoid(0.0)
+    assert isinstance(origin, np.float64) and origin == 0.5
 
 
 def test_sigmoid_symmetry():
@@ -66,8 +67,6 @@ def test_sigmoid_keeps_shape_and_dtype(shape):
     out = sigmoid(x)
     assert np.shape(out) == shape and out.dtype == np.float64
     assert isinstance(out, np.float64 if shape == () else np.ndarray)
-    origin = sigmoid(0.0)
-    assert isinstance(origin, np.float64) and origin == 0.5
 
 
 def test_sigmoid_equals_scipy_expit_bit_for_bit():
