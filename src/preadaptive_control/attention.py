@@ -13,8 +13,8 @@ from .errors import ConfigError, require_finite
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    c_e: float                  # error magnitude threshold
-    c_ed: float                 # error-rate threshold
+    c_e: float = 0.005          # error magnitude threshold
+    c_ed: float = 0.02          # error-rate threshold
     tau_f: float = 0.05         # dirty-derivative time constant [s]
     estimator: str = "tracking"  # "tracking" | "dirty"
     omega_n: float = 12.0       # tracking-differentiator natural frequency [rad/s]
@@ -45,6 +45,11 @@ class AttentionState:
 
 
 def _dirty_estimator(tau_f):
+    """Dirty-derivative update: low-pass-filtered finite difference of e.
+
+    Stores the new estimate in the state; ``e_prev`` is left untouched so the
+    crossing test in :func:`detect_events` can still see it.
+    """
     def estimate(state, e, dt):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -56,6 +61,13 @@ def _dirty_estimator(tau_f):
 
 
 def _tracking_estimator(omega_n, zeta):
+    """Second-order tracking-differentiator update.
+
+    Continuous form: z1' = z2 + 2*zeta*omega_n*(e - z1), z2' = omega_n^2*(e - z1);
+    the rate output z2 has transfer omega_n^2 s / (s^2 + 2 zeta omega_n s +
+    omega_n^2) from e.  Light damping gives the transient gain above unity
+    needed to read fast onsets at the threshold crossing.
+    """
     gain_1 = 2.0 * zeta * omega_n
     gain_2 = omega_n * omega_n
 
@@ -67,26 +79,6 @@ def _tracking_estimator(omega_n, zeta):
         state.edot_hat += dt * (gain_2 * err)
         return state.edot_hat
     return estimate
-
-
-def velocity_estimate(state, e, dt, tau_f):
-    """Dirty-derivative update: low-pass-filtered finite difference of e.
-
-    Returns the new estimate and stores it in the state; ``e_prev`` is left
-    untouched so the crossing test in :func:`detect_events` can still see it.
-    """
-    return _dirty_estimator(tau_f)(state, e, dt)
-
-
-def velocity_estimate_tracking(state, e, dt, omega_n, zeta):
-    """Second-order tracking-differentiator update.
-
-    Continuous form: z1' = z2 + 2*zeta*omega_n*(e - z1), z2' = omega_n^2*(e - z1);
-    the rate output z2 has transfer omega_n^2 s / (s^2 + 2 zeta omega_n s +
-    omega_n^2) from e.  Light damping gives the transient gain above unity
-    needed to read fast onsets at the threshold crossing.
-    """
-    return _tracking_estimator(omega_n, zeta)(state, e, dt)
 
 
 def velocity_estimator(cfg):

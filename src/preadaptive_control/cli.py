@@ -97,21 +97,31 @@ def _parse_schedule(node, n):
     return ThetaSchedule(pieces=pieces, horizon=horizon, bounds=bounds)
 
 
+def _scalar(value, name, kind):
+    """``value`` as ``kind``, float or bool, else a ConfigError naming ``name``:
+    a bool is no number, and the string "false" is no bool."""
+    if isinstance(value, bool) == (kind is bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return kind(value)
+    raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _given(node, kind, *keys):
+    """Each of ``keys`` that ``node`` has, as ``kind``; a field the file
+    leaves out keeps its dataclass default."""
+    return {key: _scalar(node[key], key, kind) for key in keys if key in node}
+
+
 def _parse_attention(node):
     if node is None:
-        return AttentionConfig(c_e=0.005, c_ed=0.02)
+        return AttentionConfig()
     _check_keys(
         node, {"c_e", "c_ed", "tau_f", "estimator", "omega_n", "zeta"}, "attention"
     )
-    defaults = AttentionConfig(c_e=0.005, c_ed=0.02)
-    return AttentionConfig(
-        c_e=float(node.get("c_e", defaults.c_e)),
-        c_ed=float(node.get("c_ed", defaults.c_ed)),
-        tau_f=float(node.get("tau_f", defaults.tau_f)),
-        estimator=str(node.get("estimator", defaults.estimator)),
-        omega_n=float(node.get("omega_n", defaults.omega_n)),
-        zeta=float(node.get("zeta", defaults.zeta)),
-    )
+    fields = _given(node, float, "c_e", "c_ed", "tau_f", "omega_n", "zeta")
+    if "estimator" in node:
+        fields["estimator"] = str(node["estimator"])
+    return AttentionConfig(**fields)
 
 
 def _parse_preadapt(node):
@@ -123,23 +133,22 @@ def _parse_preadapt(node):
          "init_scale", "clip_norm", "weights"},
         "preadapt",
     )
-    mode = str(node.get("gradient_mode", "approx"))
-    if mode not in ("exact", "approx"):
-        raise ConfigError(f"gradient_mode must be 'exact' or 'approx', got '{mode}'")
-    net = None
+    # hidden and seed are checked by PreadaptSettings
+    fields = {key: node[key] for key in ("hidden", "seed") if key in node}
+    fields.update(_given(node, float, "gamma_pa", "init_scale"))
+    fields.update(_given(node, bool, "enabled"))
+    if "learner" in node:
+        fields["learner_enabled"] = _scalar(node["learner"], "learner", bool)
+    if "gradient_mode" in node:
+        mode = str(node["gradient_mode"])
+        if mode not in ("exact", "approx"):
+            raise ConfigError(f"gradient_mode must be 'exact' or 'approx', got '{mode}'")
+        fields["gradient_mode"] = GradientMode(mode)
+    if node.get("clip_norm") is not None:
+        fields["clip_norm"] = _scalar(node["clip_norm"], "clip_norm", float)
     if node.get("weights") is not None:
-        net = PreadaptNet.from_dict(node["weights"])
-    return PreadaptSettings(
-        enabled=bool(node.get("enabled", False)),
-        learner_enabled=bool(node.get("learner", False)),
-        gradient_mode=GradientMode(mode),
-        gamma_pa=float(node.get("gamma_pa", 10.0)),
-        hidden=int(node.get("hidden", 3)),
-        seed=int(node.get("seed", 0)),
-        init_scale=float(node.get("init_scale", 0.5)),
-        clip_norm=None if node.get("clip_norm") is None else float(node["clip_norm"]),
-        net=net,
-    )
+        fields["net"] = PreadaptNet.from_dict(node["weights"])
+    return PreadaptSettings(**fields)
 
 
 def load_scenario(path):
@@ -166,11 +175,7 @@ def load_scenario(path):
 
     ctrl_node = doc.get("controller") or {}
     _check_keys(ctrl_node, {"Q", "R", "gamma", "k0"}, "controller")
-    Q = (
-        np.eye(plant.n)
-        if ctrl_node.get("Q") in (None, "identity")
-        else np.asarray(ctrl_node["Q"], dtype=float)
-    )
+    Q = np.eye(plant.n) if ctrl_node.get("Q") in (None, "identity") else ctrl_node["Q"]
 
     return RunConfig(
         plant=plant,
@@ -178,17 +183,10 @@ def load_scenario(path):
         attention=_parse_attention(doc.get("attention")),
         preadapt=_parse_preadapt(doc.get("preadapt")),
         Q=Q,
-        R=float(ctrl_node.get("R", 1.0)),
-        gamma=float(ctrl_node.get("gamma", 10.0)),
-        k0=float(ctrl_node.get("k0", 0.0)),
-        r=float(doc.get("r", 0.1)),
-        dt=float(doc.get("dt", 1e-3)),
-        x0=None if doc.get("x0") is None else np.asarray(doc["x0"], dtype=float),
-        theta_hat0=(
-            None
-            if doc.get("theta_hat0") is None
-            else np.asarray(doc["theta_hat0"], dtype=float)
-        ),
+        x0=doc.get("x0"),
+        theta_hat0=doc.get("theta_hat0"),
+        **_given(ctrl_node, float, "R", "gamma", "k0"),
+        **_given(doc, float, "r", "dt"),
     )
 
 

@@ -10,6 +10,7 @@ sensitivity blocks) with one RK4 step.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,12 @@ class PreadaptSettings:
         require_finite("init_scale", self.init_scale)
         if self.clip_norm is not None:
             require_finite("clip_norm", self.clip_norm)
+        # not int(value): a bool is an int to Python, and int(2.7) is 2
+        for name, low in (("hidden", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,14 +189,9 @@ def default_config(scenario=1, preadapt=None, **overrides):
     cfg = RunConfig(
         plant=plant,
         schedule=scenario_schedule(scenario),
-        attention=AttentionConfig(c_e=0.005, c_ed=0.02, tau_f=0.05),
+        attention=AttentionConfig(),
         preadapt=preadapt if preadapt is not None else PreadaptSettings(),
         Q=np.eye(3),
-        R=1.0,
-        gamma=10.0,
-        k0=0.0,
-        r=0.1,
-        dt=1e-3,
     )
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -365,15 +367,6 @@ def _rk4_code(st, with_sens, exact_sens):
     return lines, out
 
 
-def _rk4_step_source(st, with_sens, exact_sens):
-    """Source of ``step(y, theta)``: ``_rk4_code``'s step of the list ``y``."""
-    lines, out = _rk4_code(st, with_sens, exact_sens)
-    lines = [_unpack(_state_names(st.n, with_sens, "_1"), "y"),
-             _unpack([f"t{j}" for j in range(st.n)], "theta")] + lines
-    return ("def step(y, theta):\n" + "".join(f"    {line}\n" for line in lines)
-            + "    return [" + ",\n            ".join(out) + "]\n")
-
-
 def _segment_source(st, with_sens, exact_sens):
     """Source of ``segment(...)``: ``run``'s loop over the steps between two
     returns to Python, with ``_rk4_code``'s step inlined.
@@ -435,7 +428,7 @@ def _compile(source, name):
 
 
 class _Stepper:
-    """Closed-loop data, as floats, and the compiled RK4 steps."""
+    """Closed-loop data, as floats, and the compiled run segments."""
 
     def __init__(self, cfg, ctrl, ref):
         self.n = cfg.plant.n
@@ -451,10 +444,7 @@ class _Stepper:
         self.PB = (ctrl.P @ cfg.plant.B).tolist()
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
-        self._steps = {}         # compiled on first use, per (with_sens, exact_sens)
-        self._segments = {}
-        self._theta_src = None   # last theta passed in, and its float list
-        self._theta = None
+        self._segments = {}      # compiled on first use, per (with_sens, exact_sens)
 
     def derivative(self, with_sens, exact_sens):
         """The compiled ``f(y, theta)`` the step integrates."""
@@ -468,28 +458,35 @@ class _Stepper:
             fn = self._segments[key] = _compile(_segment_source(self, *key), "segment")
         return fn
 
-    def step(self, y, theta, with_sens=False, exact_sens=False, t=None):
+    def step(self, y, theta, with_sens=False, exact_sens=False, k=0):
         """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
-        sensitivities when ``with_sens``); returns the new state as a list.
+        sensitivities when ``with_sens``) from row ``k``: one row of
+        ``segment`` with events frozen.  Returns the new state as a list.
 
         Every component must stay finite and the 3n plant, reference and
-        estimate states within DIVERGENCE_LIMIT, else DivergenceError; ``t``
-        is the time at the start of the step.
+        estimate states within DIVERGENCE_LIMIT, else DivergenceError at the
+        time of row k + 1.
         """
-        if theta is not self._theta_src:
-            self._theta_src = theta
-            self._theta = [float(v) for v in theta]
-        key = (with_sens, exact_sens)
-        fn = self._steps.get(key)
-        if fn is None:
-            fn = self._steps[key] = _compile(_rk4_step_source(self, *key), "step")
-        out = fn(y, self._theta)
-        # the sum bounds every magnitude and is NaN or inf if any component
-        # is; past it, check_bounded tests each component and returns if all
-        # are within their limits
-        if not sum(map(abs, out)) <= DIVERGENCE_LIMIT:
-            check_bounded(out, None if t is None else t + self.dt, 3 * self.n)
+        sens = SensitivityState(n=self.n)
+        sens.activate(None)
+        exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens)(
+            y, [float(v) for v in theta], k, k + 1, math.inf, 0.0, 0.0, 0.0, 0.0,
+            False, [], None, None, _frozen_rate, _frozen_events, sens,
+            accumulate_cost, check_bounded,
+        )
+        if exc is not None:
+            raise exc
         return out
+
+
+def _frozen_rate(att, e, dt):
+    """Rate estimate of a frozen window, whose events are not re-detected."""
+    return 0.0
+
+
+def _frozen_events(att_cfg, att, e, edot, t):
+    """Event flags of a frozen window: never an event."""
+    return 0, 0, 0
 
 
 # --------------------------------------------------------------------------
@@ -809,31 +806,38 @@ def compare(config_a, config_b):
 def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
     """Re-simulate a frozen phase window from its onset snapshot.
 
-    Events are not re-detected and no reinitialization is applied; the
-    window starts with theta_hat = theta_I.  Returns (E, dE_dthI or None).
+    The window's rows run through ``run``'s compiled segment with events
+    frozen: no rate estimate, no event detection and no reinitialization;
+    the window starts with theta_hat = theta_I.  Returns (E, dE_dthI or None).
     """
     n = cfg.plant.n
     iy = cfg.plant.iy
     dt = cfg.dt
     with_sens = sens_mode is not None
-    exact = sens_mode == GradientMode.EXACT
+    segment = stepper.segment(with_sens, sens_mode == GradientMode.EXACT)
 
     y = snapshot.x.tolist() + snapshot.x_r.tolist() + [float(v) for v in theta_I]
     if with_sens:
         y += _sensitivity_start(n)
-    acc = SensitivityState(n=n)
-    acc.activate(snapshot)
+    sens = SensitivityState(n=n)
+    sens.activate(snapshot)
+    rows = []           # the segment buffers trace rows; a replay drops them
+    k, stop = snapshot.step, snapshot.step + steps
+    e, E = y[iy] - y[n + iy], 0.0
     next_start = -math.inf
-    for k in range(steps):
-        t = snapshot.t_u + k * dt
-        if next_start <= t:
-            theta = theta_at(cfg.schedule, t)
-            next_start = _next_piece_start(cfg.schedule, t)
-        e = y[iy] - y[n + iy]
-        # without sensitivities the row slice is empty and only E accumulates
-        accumulate_cost(acc, e, y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
-        y = stepper.step(y, theta, with_sens, exact, t)
-    return acc.E_acc, acc.dE_dthI if with_sens else None
+    while k < stop:
+        if next_start <= k * dt:
+            theta = theta_at(cfg.schedule, k * dt).tolist()
+            next_start = _next_piece_start(cfg.schedule, k * dt)
+        exc, k, e, _, _, _, E, y = segment(
+            y, theta, k, min(k + _TRACE_CHUNK, stop), next_start, e, 0.0, 0.0, E,
+            True, rows, None, None, _frozen_rate, _frozen_events, sens,
+            accumulate_cost, check_bounded,
+        )
+        if exc is not None:
+            raise exc
+        rows.clear()
+    return E, sens.dE_dthI if with_sens else None
 
 
 def grad_check(cfg, phase_index, delta, result=None):

@@ -35,7 +35,6 @@ from preadaptive_control import (
     theta_init,
 )
 from preadaptive_control.cli import write_trace_csv
-from preadaptive_control.dynamics import rk4_step
 from preadaptive_control.learner import grad_weights
 
 from conftest import windowed_cost
@@ -230,13 +229,18 @@ def test_criterion_9_determinism(tmp_path):
     write_trace_csv(run(cfg), tmp_path / "b.csv")
     identical = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def integrate(dt):
-        y = np.array([1.0])
-        for k in range(int(round(1.0 / dt))):
-            y = rk4_step(lambda t, v: -v, y, k * dt, dt)
-        return abs(y[0] - np.exp(-1.0))
+    # the order of the integrator run steps with: the RAC loop's final x,
+    # x_r and theta_hat against a run at 1/64 of the coarse step
+    one_piece = ThetaSchedule(pieces=[(0.0, 2.0 * np.ones(3))], horizon=1.0)
 
-    ratio = integrate(0.02) / integrate(0.01)
+    def final_state(dt):
+        res = run(default_config(1, schedule=one_piece, dt=dt, x0=[0.1, -0.2, 0.3],
+                                 theta_hat0=[0.5, -0.5, 1.0]))
+        return np.concatenate([res.trace[key][-1] for key in ("x", "x_r", "theta_hat")])
+
+    fine = final_state(0.02 / 64)
+    err = [np.max(np.abs(final_state(dt) - fine)) for dt in (0.02, 0.01)]
+    ratio = err[0] / err[1]
     ok = identical and 8.0 <= ratio <= 32.0
     _verdict(9, ok, f"byte-identical traces {identical}, "
                     f"RK4 dt-halving error ratio {ratio:.1f}")

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from preadaptive_control import AttentionConfig, AttentionState, detect_events
-from preadaptive_control.attention import velocity_estimate, velocity_estimate_tracking
+from preadaptive_control.attention import velocity_estimator
 from preadaptive_control.errors import ConfigError
 
 CFG = AttentionConfig(c_e=0.005, c_ed=0.02)
+DIRTY = velocity_estimator(AttentionConfig(c_e=0.005, c_ed=0.02, estimator="dirty",
+                                           tau_f=0.05))
+TRACKING = velocity_estimator(AttentionConfig(c_e=0.005, c_ed=0.02, omega_n=12.0,
+                                              zeta=0.2))
 
 
 # --------------------------------------------------------------------------
@@ -14,7 +18,7 @@ CFG = AttentionConfig(c_e=0.005, c_ed=0.02)
 def test_dirty_derivative_constant_input_decays_to_zero():
     state = AttentionState(e_prev=0.3, edot_hat=1.0)
     for _ in range(2000):
-        velocity_estimate(state, 0.3, 1e-3, 0.05)
+        DIRTY(state, 0.3, 1e-3)
         state.e_prev = 0.3
     assert abs(state.edot_hat) < 1e-10
 
@@ -24,33 +28,33 @@ def test_dirty_derivative_tracks_ramp_slope():
     dt = 1e-3
     for k in range(1, 1001):  # e = t, slope 1, well past tau_f
         e = k * dt
-        velocity_estimate(state, e, dt, 0.05)
+        DIRTY(state, e, dt)
         state.e_prev = e
     assert state.edot_hat == pytest.approx(1.0, rel=0.01)
 
 
 def test_dirty_derivative_first_call_zero():
     state = AttentionState()
-    assert velocity_estimate(state, 0.0, 1e-3, 0.05) == 0.0
+    assert DIRTY(state, 0.0, 1e-3) == 0.0
 
 
 def test_dirty_derivative_rejects_bad_dt():
     with pytest.raises(ValueError):
-        velocity_estimate(AttentionState(), 0.0, 0.0, 0.05)
+        DIRTY(AttentionState(), 0.0, 0.0)
 
 
 def test_tracking_estimator_settles_on_ramp_slope():
     state = AttentionState()
     dt = 1e-3
     for k in range(1, 5001):
-        velocity_estimate_tracking(state, k * dt, dt, 12.0, 0.2)
+        TRACKING(state, k * dt, dt)
     assert state.edot_hat == pytest.approx(1.0, rel=0.01)
 
 
 def test_tracking_estimator_constant_input_decays():
     state = AttentionState(e_track=0.0, edot_hat=0.5)
     for _ in range(20000):
-        velocity_estimate_tracking(state, 0.2, 1e-3, 12.0, 0.2)
+        TRACKING(state, 0.2, 1e-3)
     assert abs(state.edot_hat) < 1e-6
     assert state.e_track == pytest.approx(0.2, abs=1e-6)
 

@@ -121,6 +121,35 @@ def test_non_finite_value_rejected(tmp_path, entry, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, field", [
+    ("r: abc", "r"),
+    ("attention: {c_e: abc}", "c_e"),
+    ("preadapt: {enabled: true, hidden: [1, 2]}", "hidden"),
+    ("preadapt: {enabled: true, hidden: 0}", "hidden"),
+    ("preadapt: {enabled: true, hidden: 2.7}", "hidden"),
+    ("preadapt: {enabled: true, seed: -1}", "seed"),
+    ('preadapt: {enabled: true, learner: "false"}', "learner"),
+    ('preadapt: {enabled: "no"}', "enabled"),
+])
+def test_malformed_scalar_rejected(tmp_path, entry, field):
+    # these used to escape as a traceback with exit 1, run an empty network,
+    # truncate 2.7 hidden units to 2, or read the string "false" as true
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"plant: b747\nschedule: {{scenario: 1}}\n{entry}\n")
+    with pytest.raises(cli.ConfigError, match=f"^{field} must be"):
+        cli.load_scenario(str(path))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_negative_seed_override_rejected(short_scenario, tmp_path):
+    out = tmp_path / "o"
+    code = cli.main(["run", short_scenario, "--seed", "-1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_explicit_plant_matrices(tmp_path):
     doc = {
         "plant": {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [0.0, 1.0],

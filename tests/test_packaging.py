@@ -1,6 +1,8 @@
 """The package's modules import only what pyproject.toml declares."""
 
 import ast
+import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -45,3 +47,18 @@ def test_package_imports_only_stdlib_itself_and_declared_dependencies():
         if module not in allowed
     ]
     assert stray == []
+
+
+def test_benchmark_tracer_layers_resolve():
+    # perfbench/tracer.py wraps each layer at the name its caller looks it up
+    # by, and reads _Stepper.step's with_sens as positional argument 3; a
+    # deleted or renamed function would break `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for owner, attr, _, _ in tracer.LAYERS:
+        assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+    step = inspect.signature(tracer.simengine._Stepper.step)
+    assert list(step.parameters)[1:5] == ["y", "theta", "with_sens", "exact_sens"]

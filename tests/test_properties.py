@@ -103,7 +103,7 @@ def test_event_bookkeeping_on_random_schedules(schedule, pre):
     onsets = set(_rows_from(tr, "Eu"))
     for k in range(1, rows):
         want = stepper.step(state[k - 1].tolist(), tr["theta"][k - 1], False, False,
-                            tr["t"][k - 1])
+                            k - 1)
         got = state[k].tolist()
         if k in onsets:
             assert got[:2 * cfg.plant.n] == want[:2 * cfg.plant.n]

@@ -25,7 +25,12 @@ from preadaptive_control import (
     scenario_schedule,
 )
 from preadaptive_control.dynamics import rk4_step
-from preadaptive_control.simengine import _Stepper, _rk4_step_source, build_controller
+from preadaptive_control.simengine import (
+    _Stepper,
+    _replay_window,
+    _segment_source,
+    build_controller,
+)
 
 
 @pytest.fixture(scope="module")
@@ -345,14 +350,14 @@ def test_compiled_step_is_rk4_of_compiled_derivative(n, with_sens, exact):
         y = rng.standard_normal(size) * rng.choice([1e-3, 1.0, 30.0], size)
         theta = rng.standard_normal(n).tolist()
         want = rk4_step(lambda t, v: np.array(f(v.tolist(), theta)), y, 0.0, cfg.dt)
-        got = st.step(y.tolist(), theta, with_sens, exact, 0.0)
+        got = st.step(y.tolist(), theta, with_sens, exact, k=0)
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("with_sens, exact", [(False, False), (True, False), (True, True)])
 def test_compiled_step_has_no_trivial_products(stepper, with_sens, exact):
     # the B-747 loop's zero and unit literals leave no product or sum head
-    src = _rk4_step_source(stepper, with_sens, exact)
+    src = _segment_source(stepper, with_sens, exact)
     for trivial in ("(0.0) *", "(1.0) *", "(-1.0) *", "= 0.0 +", "(0.0) -"):
         assert trivial not in src
 
@@ -362,7 +367,7 @@ def test_step_rejects_nonfinite_state(stepper, index, value):
     y = [0.0] * 9
     y[index] = value
     with pytest.raises(DivergenceError) as exc:
-        stepper.step(y, np.ones(3), False, False, 1.0)
+        stepper.step(y, np.ones(3), False, False, k=1000)
     # a non-finite x_r or theta_hat reaches x within the step: the first
     # non-finite component of the new state is reported, at the step's end
     assert str(exc.value) == "non-finite state component 0 at t=1.001"
@@ -374,7 +379,7 @@ def test_step_rejects_state_beyond_limit(stepper):
     y = [0.0] * 9
     y[3] = 2e6
     with pytest.raises(DivergenceError) as exc:
-        stepper.step(y, np.ones(3), False, False, 1.0)
+        stepper.step(y, np.ones(3), False, False, k=1000)
     assert str(exc.value) == "state component 3 exceeded 1e+06 at t=1.001"
     assert exc.value.component == 3
     assert exc.value.t == 1.001
@@ -383,11 +388,11 @@ def test_step_rejects_state_beyond_limit(stepper):
 def test_step_bounds_states_but_not_sensitivities(stepper):
     y = [0.0] * 9 + [0.0] * 9 + np.eye(3).reshape(-1).tolist()
     y[9] = 2e7  # S_e[0, 0]
-    out = stepper.step(y, np.ones(3), True, True, 1.0)
+    out = stepper.step(y, np.ones(3), True, True, k=1000)
     assert abs(out[9]) > 1e6
     y[13] = np.nan  # S_e[1, 1] reaches S_e[0, 1] within the step
     with pytest.raises(DivergenceError) as exc:
-        stepper.step(y, np.ones(3), True, False, 1.0)
+        stepper.step(y, np.ones(3), True, False, k=1000)
     assert str(exc.value) == "non-finite state component 10 at t=1.001"
     assert exc.value.component == 10
     assert exc.value.t == 1.001
@@ -400,13 +405,22 @@ def test_learner_updates_weights_each_closed_phase(learner1_result):
 
 
 def test_phase_cost_matches_learner_accumulator(learner1_result):
+    # the phase's cost, the learner's accumulator and the grad-check replay of
+    # the unperturbed window, with or without sensitivities, add the same
+    # |e| * dt terms in the same order
+    cfg = learner1_result.config
+    stepper = _Stepper(cfg, *build_controller(cfg))
     by_tu = {p.t_u: p for p in learner1_result.phases}
-    dt = learner1_result.config.dt
     for rep in learner1_result.phase_reports:
         if rep["t_d"] is None:
             continue
         phase = by_tu[rep["t_u"]]
-        assert abs(phase.E_phase - rep["E_acc"]) <= phase.peak_abs_e * dt + 1e-12
+        assert phase.E_phase == rep["E_acc"]
+        snap = phase.snapshot
+        for mode in (None, *GradientMode):
+            E, _ = _replay_window(cfg, stepper, snap, phase.step_d - phase.step_u,
+                                  snap.theta_I, mode)
+            assert E == phase.E_phase
 
 
 def test_learning_reduces_t45_phase_cost(rac1_result, learner1_result):
@@ -498,3 +512,15 @@ def test_grad_check_exact_and_approx_differ(learner1_result):
     exact = report["modes"]["exact"]["grad"]
     approx = report["modes"]["approx"]["grad"]
     assert not np.allclose(exact, approx, rtol=1e-3)  # Pi-hat bias is visible
+
+
+def test_grad_check_report_is_pinned(learner1_result):
+    # frozen values: any change to the replay's or the sensitivities'
+    # arithmetic moves them
+    report = grad_check(learner1_result.config, 1, 1e-5, result=learner1_result)
+    assert report["fd"].tolist() == [
+        -0.058827247763522376, 0.0272802277937606, 0.009784995185467549]
+    assert report["modes"]["exact"]["grad"].tolist() == [
+        -0.05882724778661809, 0.027280227778362007, 0.009784995190617561]
+    assert report["modes"]["approx"]["grad"].tolist() == [
+        -0.11896170722276975, 0.05508669544445263, 0.020035012120788624]
