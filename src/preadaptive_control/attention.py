@@ -39,8 +39,6 @@ class AttentionState:
     edot_hat: float = 0.0
     e_track: float = 0.0        # position state of the tracking differentiator
     in_disturbance: bool = False
-    t_u: float | None = None
-    t_d: float | None = None
     events: list = field(default_factory=list)  # (t, "E_u"|"E_d")
 
 
@@ -101,7 +99,7 @@ def detect_events(cfg, state, e, edot_hat, t):
     """Evaluate the crossing predicates at the current sample.
 
     Returns (E_u, E_d, Att) as 0/1 flags and advances the detector state
-    (phase flag, event timestamps, previous sample).
+    (phase flag, event list, previous sample).
     """
     prev_margin = abs(state.e_prev) - cfg.c_e
     margin = abs(e) - cfg.c_e
@@ -112,14 +110,11 @@ def detect_events(cfg, state, e, edot_hat, t):
         if prev_margin < 0.0 and margin >= 0.0 and abs(edot_hat) > cfg.c_ed:
             e_u = 1
             state.in_disturbance = True
-            state.t_u = t
-            state.t_d = None
             state.events.append((t, "E_u"))
     else:
         if prev_margin > 0.0 and margin <= 0.0 and abs(edot_hat) < cfg.c_ed:
             e_d = 1
             state.in_disturbance = False
-            state.t_d = t
             state.events.append((t, "E_d"))
 
     state.e_prev = e

@@ -11,13 +11,16 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure,
 
 import argparse
 import contextlib
+import numbers
 import os
 import shutil
 import signal
 import sys
 import tempfile
 import traceback
-from dataclasses import replace
+from collections import namedtuple
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,110 +52,167 @@ _GRAD_CHECK_TOL = 1e-3
 
 
 # --------------------------------------------------------------------------
-# scenario file parsing (strict: unknown keys are config errors)
+# scenario files (strict: unknown keys are config errors)
+#
+# Each field has one row in _FIELDS, which the parser, its type checks, the
+# summary's echo and the --seed/--dt/--mode overrides all read.  The plant
+# and the schedule have their own forms ("b747", "scenario: N") and a parse
+# and an echo function each.
 
-def _check_keys(section, allowed, where):
+def _check_keys(section, allowed, where, required=()):
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be a mapping")
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in '{where}'")
+        raise ConfigError(f"unknown key '{sorted(map(str, unknown))[0]}' in '{where}'")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"'{where}' is missing '{key}'")
+
+
+def _scalar(value, name, kind):
+    """``value`` as ``kind``, float, int or bool, else a ConfigError naming
+    ``name``: a bool is no number, "false" is no bool and 2.7 is no int."""
+    if (isinstance(value, bool) == (kind is bool)
+            and (kind is not int or isinstance(value, numbers.Integral))):
+        with contextlib.suppress(TypeError, ValueError):
+            return kind(value)
+    raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+
+
+def _array(value, name, ndim):
+    with contextlib.suppress(TypeError, ValueError):
+        a = np.asarray(value, dtype=float)
+        if a.ndim == ndim:
+            return a
+    raise ConfigError(f"{name} must be a {ndim}-d array of floats, got {value!r}")
+
+
+def _choice(value, name, options):
+    if isinstance(value, str) and value in options:
+        return value
+    raise ConfigError(f"{name} must be one of {', '.join(options)}, got {value!r}")
+
+
+#: a field's type: parse(file value, field name) gives the value or raises a
+#: ConfigError naming the field; echo(value) gives plain YAML data, or _OMIT
+#: to leave the key out
+_Kind = namedtuple("_Kind", "parse echo")
+_OMIT = object()
+_FLOAT = _Kind(partial(_scalar, kind=float), float)
+_INT = _Kind(partial(_scalar, kind=int), int)
+_BOOL = _Kind(partial(_scalar, kind=bool), bool)
+_VECTOR = _Kind(partial(_array, ndim=1), np.ndarray.tolist)
+_MATRIX = _Kind(partial(_array, ndim=2), np.ndarray.tolist)
+_Q = _Kind(   # "identity" or absent: RunConfig's default
+    lambda v, name: None if v in (None, "identity") else _array(v, name, 2),
+    np.ndarray.tolist)
+_ESTIMATOR = _Kind(partial(_choice, options=("tracking", "dirty")), str)
+_GRADIENT_MODE = _Kind(
+    lambda v, name: GradientMode(_choice(v, name, [m.value for m in GradientMode])),
+    attrgetter("value"))
+_CLIP_NORM = _Kind(lambda v, name: None if v is None else _scalar(v, name, float),
+                   lambda v: None if v is None else float(v))
+_WEIGHTS = _Kind(   # echoed only when preloaded, so the summary reloads the net
+    lambda v, name: None if v is None else PreadaptNet.from_dict(v),
+    lambda net: _OMIT if net is None else net.to_dict())
+
+#: one scenario-file field: its section (None: top level), its key, its
+#: _Kind, and the attribute it sets when that is not the key
+_Field = namedtuple("_Field", "section key kind attr", defaults=(None,))
+
+
+def _rows(section, *rows):
+    return tuple(_Field(section, *row) for row in rows)
+
+
+_PLANT_FIELDS = _rows("plant", ("A", _MATRIX), ("B", _VECTOR), ("B1r", _VECTOR),
+                      ("output_index", _INT))
+
+#: every field but the plant's and the schedule's, in the order of the echo
+_FIELDS = (
+    *_rows("controller", ("Q", _Q), ("R", _FLOAT), ("gamma", _FLOAT), ("k0", _FLOAT)),
+    *_rows("attention", ("c_e", _FLOAT), ("c_ed", _FLOAT), ("tau_f", _FLOAT),
+           ("estimator", _ESTIMATOR), ("omega_n", _FLOAT), ("zeta", _FLOAT)),
+    *_rows("preadapt", ("enabled", _BOOL), ("learner", _BOOL, "learner_enabled"),
+           ("gradient_mode", _GRADIENT_MODE), ("gamma_pa", _FLOAT), ("hidden", _INT),
+           ("seed", _INT), ("init_scale", _FLOAT), ("clip_norm", _CLIP_NORM),
+           ("weights", _WEIGHTS, "net")),
+    *_rows(None, ("r", _FLOAT), ("dt", _FLOAT), ("x0", _VECTOR),
+           ("theta_hat0", _VECTOR)),
+)
+
+#: each section's rows in table order; the top level (None) comes last
+_SECTIONS = {section: tuple(f for f in _FIELDS if f.section == section)
+             for section in dict.fromkeys(f.section for f in _FIELDS)}
+
+#: sections whose fields fill the settings RunConfig holds under that name;
+#: the fields of the others are RunConfig's own
+_SETTINGS = {"attention": AttentionConfig, "preadapt": PreadaptSettings}
+
+#: command-line option -> the (section, key) of the field it overrides
+_OVERRIDES = {"seed": ("preadapt", "seed"), "dt": (None, "dt"),
+              "mode": ("preadapt", "gradient_mode")}
+
+#: the keys of the schedule's optional box on theta
+_BOUNDS = ("lower", "upper")
+
+
+def _parse_fields(node, fields):
+    """{attribute: value} of each of ``fields`` that ``node`` gives; a field
+    the file leaves out keeps its dataclass default."""
+    return {f.attr or f.key: f.kind.parse(node[f.key], f.key)
+            for f in fields if f.key in node}
+
+
+def _echo_fields(holder, fields):
+    echo = {f.key: f.kind.echo(getattr(holder, f.attr or f.key)) for f in fields}
+    return {key: value for key, value in echo.items() if value is not _OMIT}
 
 
 def _parse_plant(node):
     if node == "b747":
         return build_b747()
-    _check_keys(node, {"A", "B", "B1r", "output_index"}, "plant")
-    try:
-        return PlantConfig(
-            A=np.asarray(node["A"], dtype=float),
-            B=np.asarray(node["B"], dtype=float),
-            B1r=np.asarray(node["B1r"], dtype=float),
-            output_index=int(node["output_index"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"plant is missing key {exc}") from exc
+    keys = [f.key for f in _PLANT_FIELDS]
+    _check_keys(node, keys, "plant", required=keys)
+    return PlantConfig(**_parse_fields(node, _PLANT_FIELDS))
 
 
 def _parse_schedule(node, n):
     if isinstance(node, dict) and "scenario" in node:
         _check_keys(node, {"scenario"}, "schedule")
-        return scenario_schedule(int(node["scenario"]), n=n)
-    _check_keys(node, {"pieces", "horizon", "bounds"}, "schedule")
-    try:
-        pieces = [
-            (float(p["t"]), np.asarray(p["theta"], dtype=float))
-            for p in node["pieces"]
-        ]
-        horizon = float(node["horizon"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("schedule pieces need 't' and 'theta' entries") from exc
-    bounds = None
-    if node.get("bounds") is not None:
-        _check_keys(node["bounds"], {"lower", "upper"}, "schedule.bounds")
-        bounds = (
-            np.asarray(node["bounds"]["lower"], dtype=float),
-            np.asarray(node["bounds"]["upper"], dtype=float),
-        )
+        return scenario_schedule(_scalar(node["scenario"], "scenario", int), n=n)
+    _check_keys(node, {"pieces", "horizon", "bounds"}, "schedule",
+                required=("pieces", "horizon"))
+    if not isinstance(node["pieces"], list):
+        raise ConfigError(f"pieces must be a list, got {node['pieces']!r}")
+    pieces = []
+    for i, piece in enumerate(node["pieces"]):
+        where = f"pieces[{i}]"
+        _check_keys(piece, {"t", "theta"}, where, required=("t", "theta"))
+        pieces.append((_scalar(piece["t"], f"{where}.t", float),
+                       _array(piece["theta"], f"{where}.theta", 1)))
+    bounds = node.get("bounds")
+    if bounds is not None:
+        _check_keys(bounds, _BOUNDS, "bounds", required=_BOUNDS)
+        bounds = tuple(_array(bounds[key], f"bounds.{key}", 1) for key in _BOUNDS)
+    horizon = _scalar(node["horizon"], "horizon", float)
     return ThetaSchedule(pieces=pieces, horizon=horizon, bounds=bounds)
 
 
-def _scalar(value, name, kind):
-    """``value`` as ``kind``, float or bool, else a ConfigError naming ``name``:
-    a bool is no number, and the string "false" is no bool."""
-    if isinstance(value, bool) == (kind is bool):
-        with contextlib.suppress(TypeError, ValueError):
-            return kind(value)
-    raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+def _schedule_echo(schedule):
+    return {
+        "pieces": [{"t": float(t), "theta": v.tolist()} for t, v in schedule.pieces],
+        "horizon": float(schedule.horizon),
+        "bounds": (None if schedule.bounds is None
+                   else {key: b.tolist() for key, b in zip(_BOUNDS, schedule.bounds)}),
+    }
 
 
-def _given(node, kind, *keys):
-    """Each of ``keys`` that ``node`` has, as ``kind``; a field the file
-    leaves out keeps its dataclass default."""
-    return {key: _scalar(node[key], key, kind) for key in keys if key in node}
-
-
-def _parse_attention(node):
-    if node is None:
-        return AttentionConfig()
-    _check_keys(
-        node, {"c_e", "c_ed", "tau_f", "estimator", "omega_n", "zeta"}, "attention"
-    )
-    fields = _given(node, float, "c_e", "c_ed", "tau_f", "omega_n", "zeta")
-    if "estimator" in node:
-        fields["estimator"] = str(node["estimator"])
-    return AttentionConfig(**fields)
-
-
-def _parse_preadapt(node):
-    if node is None:
-        return PreadaptSettings()
-    _check_keys(
-        node,
-        {"enabled", "learner", "gradient_mode", "gamma_pa", "hidden", "seed",
-         "init_scale", "clip_norm", "weights"},
-        "preadapt",
-    )
-    # hidden and seed are checked by PreadaptSettings
-    fields = {key: node[key] for key in ("hidden", "seed") if key in node}
-    fields.update(_given(node, float, "gamma_pa", "init_scale"))
-    fields.update(_given(node, bool, "enabled"))
-    if "learner" in node:
-        fields["learner_enabled"] = _scalar(node["learner"], "learner", bool)
-    if "gradient_mode" in node:
-        mode = str(node["gradient_mode"])
-        if mode not in ("exact", "approx"):
-            raise ConfigError(f"gradient_mode must be 'exact' or 'approx', got '{mode}'")
-        fields["gradient_mode"] = GradientMode(mode)
-    if node.get("clip_norm") is not None:
-        fields["clip_norm"] = _scalar(node["clip_norm"], "clip_norm", float)
-    if node.get("weights") is not None:
-        fields["net"] = PreadaptNet.from_dict(node["weights"])
-    return PreadaptSettings(**fields)
-
-
-def load_scenario(path):
-    """Parse and validate a scenario file into a RunConfig."""
+def load_scenario(path, overrides=None):
+    """Parse and validate a scenario file into a RunConfig; ``overrides`` maps
+    a field's (section, key) to a value written over the file's before it is
+    parsed, as the --seed, --dt and --mode options do."""
     try:
         with open(path) as f:
             doc = yaml.safe_load(f)
@@ -160,46 +220,29 @@ def load_scenario(path):
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from exc
-    _check_keys(
-        doc,
-        {"plant", "schedule", "controller", "attention", "preadapt", "r", "dt",
-         "x0", "theta_hat0"},
-        "scenario",
-    )
-    for key in ("plant", "schedule"):
-        if key not in doc:
-            raise ConfigError(f"scenario file is missing '{key}'")
-
+    _check_keys(doc, ["plant", "schedule", *filter(None, _SECTIONS),
+                      *(f.key for f in _SECTIONS[None])], "scenario",
+                required=("plant", "schedule"))
     plant = _parse_plant(doc["plant"])
-    schedule = _parse_schedule(doc["schedule"], plant.n)
-
-    ctrl_node = doc.get("controller") or {}
-    _check_keys(ctrl_node, {"Q", "R", "gamma", "k0"}, "controller")
-    Q = np.eye(plant.n) if ctrl_node.get("Q") in (None, "identity") else ctrl_node["Q"]
-
-    return RunConfig(
-        plant=plant,
-        schedule=schedule,
-        attention=_parse_attention(doc.get("attention")),
-        preadapt=_parse_preadapt(doc.get("preadapt")),
-        Q=Q,
-        x0=doc.get("x0"),
-        theta_hat0=doc.get("theta_hat0"),
-        **_given(ctrl_node, float, "R", "gamma", "k0"),
-        **_given(doc, float, "r", "dt"),
-    )
+    fields = {"plant": plant, "schedule": _parse_schedule(doc["schedule"], plant.n)}
+    for section, rows in _SECTIONS.items():
+        node = doc if section is None else doc.get(section)
+        if section is not None:
+            node = {} if node is None else node
+            _check_keys(node, [f.key for f in rows], section)
+        given = {k: v for (s, k), v in (overrides or {}).items() if s == section}
+        values = _parse_fields({**node, **given}, rows)
+        if section in _SETTINGS:
+            fields[section] = _SETTINGS[section](**values)
+        else:
+            fields.update(values)
+    return RunConfig(**fields)
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, preadapt=replace(cfg.preadapt, seed=int(args.seed)))
-    if getattr(args, "dt", None) is not None:
-        cfg = replace(cfg, dt=float(args.dt))
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(
-            cfg, preadapt=replace(cfg.preadapt, gradient_mode=GradientMode(args.mode))
-        )
-    return cfg
+def _overrides(args):
+    """The --seed, --dt and --mode values given, keyed by the field each sets."""
+    return {field: getattr(args, option) for option, field in _OVERRIDES.items()
+            if getattr(args, option) is not None}
 
 
 # --------------------------------------------------------------------------
@@ -323,57 +366,15 @@ def write_trace_csv(result, path):
 
 
 def _config_echo(cfg):
-    """Effective configuration with defaults materialized."""
-    return {
-        "plant": {
-            "A": cfg.plant.A.tolist(),
-            "B": cfg.plant.B.tolist(),
-            "B1r": cfg.plant.B1r.tolist(),
-            "output_index": int(cfg.plant.output_index),
-        },
-        "schedule": {
-            "pieces": [
-                {"t": float(t), "theta": v.tolist()} for t, v in cfg.schedule.pieces
-            ],
-            "horizon": float(cfg.schedule.horizon),
-            "bounds": (
-                None
-                if cfg.schedule.bounds is None
-                else {
-                    "lower": cfg.schedule.bounds[0].tolist(),
-                    "upper": cfg.schedule.bounds[1].tolist(),
-                }
-            ),
-        },
-        "controller": {
-            "Q": cfg.Q.tolist(),
-            "R": float(cfg.R),
-            "gamma": float(cfg.gamma),
-            "k0": float(cfg.k0),
-        },
-        "attention": {
-            "c_e": cfg.attention.c_e,
-            "c_ed": cfg.attention.c_ed,
-            "tau_f": cfg.attention.tau_f,
-            "estimator": cfg.attention.estimator,
-            "omega_n": cfg.attention.omega_n,
-            "zeta": cfg.attention.zeta,
-        },
-        "preadapt": {
-            "enabled": cfg.preadapt.enabled,
-            "learner": cfg.preadapt.learner_enabled,
-            "gradient_mode": cfg.preadapt.gradient_mode.value,
-            "gamma_pa": cfg.preadapt.gamma_pa,
-            "hidden": cfg.preadapt.hidden,
-            "seed": cfg.preadapt.seed,
-            "init_scale": cfg.preadapt.init_scale,
-            "clip_norm": cfg.preadapt.clip_norm,
-        },
-        "r": float(cfg.r),
-        "dt": float(cfg.dt),
-        "x0": cfg.x0.tolist(),
-        "theta_hat0": cfg.theta_hat0.tolist(),
-    }
+    """Effective configuration with defaults materialized: a scenario file
+    that loads to ``cfg``."""
+    doc = {"plant": _echo_fields(cfg.plant, _PLANT_FIELDS),
+           "schedule": _schedule_echo(cfg.schedule)}
+    for section, rows in _SECTIONS.items():
+        holder = getattr(cfg, section) if section in _SETTINGS else cfg
+        echo = _echo_fields(holder, rows)
+        doc.update(echo if section is None else {section: echo})
+    return doc
 
 
 def write_summary(result, path):
@@ -431,7 +432,7 @@ def _output_failed(exc):
 
 
 def cmd_run(args):
-    cfg = _apply_overrides(load_scenario(args.scenario), args)
+    cfg = load_scenario(args.scenario, _overrides(args))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -453,8 +454,8 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    cfg_a = _apply_overrides(load_scenario(args.scenario_a), args)
-    cfg_b = _apply_overrides(load_scenario(args.scenario_b), args)
+    cfg_a = load_scenario(args.scenario_a, _overrides(args))
+    cfg_b = load_scenario(args.scenario_b, _overrides(args))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -481,15 +482,8 @@ def cmd_compare(args):
 
 
 def cmd_grad_check(args):
-    if args.delta <= 0.0:
-        raise ConfigError("delta must be positive")
-    cfg = _apply_overrides(load_scenario(args.scenario), args)
-    if not cfg.preadapt.enabled:
-        raise ConfigError("grad-check needs a preadapt-enabled scenario")
-    try:
-        report = grad_check(cfg, args.phase, args.delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = load_scenario(args.scenario, _overrides(args))
+    report = grad_check(cfg, args.phase, args.delta)
     print(f"phase {report['phase_index']}: t_u={report['t_u']:.3f} "
           f"t_d={report['t_d']:.3f} delta={report['delta']:g}")
     print(f"  finite-difference: {report['fd']}")
@@ -515,28 +509,24 @@ def build_parser():
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--dt", type=float, default=None)
-    p_run.add_argument("--mode", choices=["exact", "approx"], default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare two scenario files per phase")
     p_cmp.add_argument("scenario_a")
     p_cmp.add_argument("scenario_b")
     p_cmp.add_argument("--out", default="out")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--dt", type=float, default=None)
-    p_cmp.add_argument("--mode", choices=["exact", "approx"], default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gc = sub.add_parser("grad-check", help="finite-difference gradient validation")
     p_gc.add_argument("scenario")
     p_gc.add_argument("--phase", type=int, default=0)
     p_gc.add_argument("--delta", type=float, default=1e-5)
-    p_gc.add_argument("--seed", type=int, default=None)
-    p_gc.add_argument("--dt", type=float, default=None)
-    p_gc.add_argument("--mode", choices=["exact", "approx"], default=None)
     p_gc.set_defaults(func=cmd_grad_check)
+
+    for p in (p_run, p_cmp, p_gc):   # the _OVERRIDES options
+        p.add_argument("--seed", type=int)
+        p.add_argument("--dt", type=float)
+        p.add_argument("--mode", choices=[mode.value for mode in GradientMode])
     return parser
 
 

@@ -124,6 +124,8 @@ class ThetaSchedule:
         if self.bounds is not None:
             lo = np.asarray(self.bounds[0], dtype=float).reshape(-1)
             hi = np.asarray(self.bounds[1], dtype=float).reshape(-1)
+            if lo.shape != (n,) or hi.shape != (n,):
+                raise ConfigError(f"bounds: {lo.size} and {hi.size} entries, not {n}")
             for t, th in pieces:
                 if np.any(th < lo) or np.any(th > hi):
                     raise ConfigError(f"theta at t={t} leaves the declared box")

@@ -89,9 +89,21 @@ class PreadaptNet:
 
     @classmethod
     def from_dict(cls, d):
-        h, n = int(d["hidden"]), int(d["n"])
-        W = np.asarray(d["W"], dtype=float).reshape(h, n)
-        V = np.asarray(d["V"], dtype=float).reshape(2, h)
+        """Inverse of :meth:`to_dict`; a ConfigError names the bad entry."""
+        try:
+            if set(d) != {"hidden", "n", "W", "V"}:
+                raise KeyError
+            h, n = d["hidden"], d["n"]
+            # a bool is no int here, and reshape infers a size of -1
+            if not (type(h) is int and type(n) is int and min(h, n) >= 1):
+                raise TypeError
+            W = np.asarray(d["W"], dtype=float).reshape(h, n)
+            V = np.asarray(d["V"], dtype=float).reshape(2, h)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                "weights must be a mapping of integers hidden, n >= 1 and lists "
+                f"W of hidden * n and V of 2 * hidden numbers, got {d!r:.200}"
+            ) from exc
         return cls(W=W, V=V)
 
 

@@ -51,13 +51,18 @@ class PreadaptSettings:
     learner_enabled: bool = False
     gradient_mode: GradientMode = GradientMode.APPROX
     gamma_pa: float = 10.0
-    hidden: int = 3
+    hidden: int | None = None       # None: the preloaded net's width, else 3
     seed: int = 0
     init_scale: float = 0.5
     clip_norm: float | None = None
     net: PreadaptNet | None = None  # preloaded weights override the seed init
 
     def __post_init__(self):
+        if self.net is not None and self.hidden not in (None, self.net.hidden):
+            raise ConfigError(f"preadapt.weights has {self.net.hidden} hidden units, "
+                              f"hidden says {self.hidden}")
+        if self.hidden is None:
+            object.__setattr__(self, "hidden", self.net.hidden if self.net else 3)
         require_finite("gamma_pa", self.gamma_pa)
         require_finite("init_scale", self.init_scale)
         if self.clip_norm is not None:
@@ -76,7 +81,7 @@ class RunConfig:
     schedule: ThetaSchedule
     attention: AttentionConfig
     preadapt: PreadaptSettings
-    Q: np.ndarray
+    Q: np.ndarray = None            # None: the identity; x0, theta_hat0: zeros
     R: float = 1.0
     gamma: float = 10.0
     k0: float = 0.0
@@ -89,7 +94,16 @@ class RunConfig:
         n = self.plant.n
         if self.schedule.n != n:
             raise ConfigError("schedule dimension does not match the plant")
-        for name in ("dt", "r", "R", "gamma", "k0", "Q"):
+        if self.preadapt.net is not None and self.preadapt.net.n != n:
+            raise ConfigError(f"preadapt.weights: n = {self.preadapt.net.n}, not {n}")
+        for name, default in (("Q", np.eye(n)), ("x0", np.zeros(n)),
+                              ("theta_hat0", np.zeros(n))):
+            value = getattr(self, name)
+            value = default if value is None else np.asarray(value, dtype=float)
+            if value.shape != default.shape:
+                raise ConfigError(f"{name}: shape {value.shape}, not {default.shape}")
+            object.__setattr__(self, name, value)
+        for name in ("dt", "r", "R", "gamma", "k0", "Q", "x0", "theta_hat0"):
             require_finite(name, getattr(self, name))
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
@@ -113,19 +127,6 @@ class RunConfig:
                 )
         if self.preadapt.learner_enabled and not self.preadapt.enabled:
             raise ConfigError("learner requires preadaptation to be enabled")
-        x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        th0 = (
-            np.zeros(n)
-            if self.theta_hat0 is None
-            else np.asarray(self.theta_hat0, dtype=float)
-        )
-        if x0.shape != (n,) or th0.shape != (n,):
-            raise ConfigError("x0 / theta_hat0 dimension mismatch")
-        require_finite("x0", x0)
-        require_finite("theta_hat0", th0)
-        object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "theta_hat0", th0)
 
     @property
     def num_steps(self):
@@ -191,7 +192,6 @@ def default_config(scenario=1, preadapt=None, **overrides):
         schedule=scenario_schedule(scenario),
         attention=AttentionConfig(),
         preadapt=preadapt if preadapt is not None else PreadaptSettings(),
-        Q=np.eye(3),
     )
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -847,15 +847,15 @@ def grad_check(cfg, phase_index, delta, result=None):
     perturbed component-wise by +/- delta, events frozen, and compares
     against the sensitivity-ODE gradient for both gradient modes.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigError(f"delta must be finite and positive, got {delta}")
     if not cfg.preadapt.enabled:
         raise ConfigError("gradient check needs a preadapt-enabled run")
     if result is None:
         result = run(cfg)
     closed = [p for p in result.phases if p.recovered and p.snapshot is not None]
-    if phase_index >= len(closed):
-        raise ValueError(
+    if not 0 <= phase_index < len(closed):
+        raise ConfigError(
             f"phase {phase_index} not available ({len(closed)} closed phases)"
         )
     phase = closed[phase_index]
