@@ -6,6 +6,7 @@ error-rate estimate is fast (|edot_hat| > c_ed); a recovery event fires when
 onset, recovery, onset, ...
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, require_finite
@@ -66,8 +67,7 @@ def _tracking_estimator(omega_n, zeta):
     omega_n^2) from e.  Light damping gives the transient gain above unity
     needed to read fast onsets at the threshold crossing.
     """
-    gain_1 = 2.0 * zeta * omega_n
-    gain_2 = omega_n * omega_n
+    gain_1, gain_2 = _tracking_gains(omega_n, zeta)
 
     def estimate(state, e, dt):
         if dt <= 0.0:
@@ -77,6 +77,40 @@ def _tracking_estimator(omega_n, zeta):
         state.edot_hat += dt * (gain_2 * err)
         return state.edot_hat
     return estimate
+
+
+def _tracking_gains(omega_n, zeta):
+    return 2.0 * zeta * omega_n, omega_n * omega_n
+
+
+def require_stable_estimator(cfg, dt):
+    """ConfigError naming the field unless the configured estimator's update
+    at step ``dt`` is stable; an unstable one fills the rate estimate, and
+    the trace, with inf and NaN while the run goes on.
+
+    The dirty derivative scales its estimate by 1 - dt / tau_f per sample;
+    the tracking differentiator maps (z1, z2) by [[1 - dt g1, dt],
+    [-dt g2, 1]], whose eigenvalues are h +- sqrt(h^2 - det) with h half its
+    trace: their largest magnitude must be finite and below 1.
+    """
+    if cfg.estimator == "dirty":
+        if dt / cfg.tau_f >= 2.0:
+            raise ConfigError(f"tau_f {cfg.tau_f} makes the dirty-derivative "
+                              f"estimator unstable at dt {dt}: dt / tau_f must be "
+                              f"below 2")
+        return
+    gain_1, gain_2 = _tracking_gains(cfg.omega_n, cfg.zeta)
+    h = 1.0 - 0.5 * dt * gain_1
+    det = 1.0 - dt * gain_1 + dt * dt * gain_2
+    disc = h * h - det
+    if not (math.isfinite(det) and math.isfinite(disc)):
+        radius = math.inf
+    else:   # a complex pair has |lambda|^2 = det
+        radius = math.sqrt(det) if disc < 0.0 else abs(h) + math.sqrt(disc)
+    if not radius < 1.0:
+        raise ConfigError(f"omega_n {cfg.omega_n} and zeta {cfg.zeta} make the "
+                          f"tracking estimator unstable at dt {dt}: its update has "
+                          f"spectral radius {radius:.6g}, not below 1")
 
 
 def velocity_estimator(cfg):

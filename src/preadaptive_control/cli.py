@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure,
 
 import argparse
 import contextlib
+import math
 import numbers
 import os
 import shutil
@@ -277,18 +278,63 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _write_chunks(f, columns, row_fmt, lo, hi):
-    """Format trace rows [lo, hi) to f, one `%` operation per chunk of rows.
+def _trace_header(n):
+    return ",".join(
+        ["t"]
+        + [f"x{i + 1}" for i in range(n)]
+        + [f"xr{i + 1}" for i in range(n)]
+        + ["e", "edot_hat"]
+        + [f"theta{i + 1}" for i in range(n)]
+        + [f"theta_hat{i + 1}" for i in range(n)]
+        + ["u", "Eu", "Ed"]
+    ) + "\n"
 
-    lo is a chunk boundary; hi is one too, or the end of the trace.
+
+#: rows per `%` operation.  Whole 256-row chunks, about 75 kB of text each
+#: with a row format per piece, left glibc's heap holding some 15 MB of freed
+#: trace arrays from one run to the next in a process that runs several;
+#: 32 rows do not, at the same speed (scenario 3, Python 3.11)
+_FORMAT_ROWS = 32
+
+
+def _write_chunks(f, trace, lo, hi):
+    """Format trace rows [lo, hi) to f, a chunk of rows at a time.
+
+    theta is constant over a schedule piece: its text is formatted once per
+    piece and spliced into the piece's row format.  '%.17g' gives the same
+    text as _fmt; the event flags are ints.
     """
-    for a in range(lo, hi, _TRACE_CHUNK):
-        block = np.column_stack([c[a:a + _TRACE_CHUNK] for c in columns])
-        f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    columns = [trace[key] for key in
+               ("t", "x", "x_r", "e", "edot_hat", "theta_hat", "u", "Eu", "Ed")]
+    theta = trace["theta"]
+    n = theta.shape[1]
+    # theta compared bit for bit: -0.0 and NaN format apart from 0.0 and
+    # from each other
+    bits = theta.view(np.int64)
+    piece = None
+    for c in range(lo, hi, _TRACE_CHUNK):
+        d = min(c + _TRACE_CHUNK, hi)
+        block = np.column_stack([col[c:d] for col in columns])
+        width = block.shape[1]
+        values = block.ravel().tolist()
+        # the chunk's rows whose theta differs from the row before
+        changes = np.flatnonzero((bits[c + 1:d] != bits[c:d - 1]).any(axis=1)) + 1
+        runs = [0, *changes.tolist(), d - c]
+        for a, b in zip(runs, runs[1:]):
+            if piece != bits[c + a].tobytes():
+                piece = bits[c + a].tobytes()
+                row_fmt = ("%.17g," * (3 + 2 * n)
+                           + ("%.17g," * n) % tuple(theta[c + a].tolist())
+                           + "%.17g," * (n + 1) + "%d,%d\n")
+                rows_fmt = row_fmt * _FORMAT_ROWS
+            for r in range(a, b, _FORMAT_ROWS):
+                s = min(r + _FORMAT_ROWS, b)
+                f.write((rows_fmt if s - r == _FORMAT_ROWS else row_fmt * (s - r))
+                        % tuple(values[r * width:s * width]))
 
 
-def _write_part_in_child(tmp, columns, row_fmt, lo, hi):
-    """Body of a forked writer: format rows [lo, hi) into tmp, then _exit.
+def _write_part_in_child(tmp, trace, lo, hi):
+    """Body of a forked part writer: format rows [lo, hi) into tmp, then _exit.
 
     os._exit skips the parent's stdio buffers and atexit hooks, which the
     child inherited and must not flush or run.  The child only slices numpy
@@ -297,72 +343,165 @@ def _write_part_in_child(tmp, columns, row_fmt, lo, hi):
     """
     code = 1
     try:
-        _write_chunks(tmp, columns, row_fmt, lo, hi)
+        _write_chunks(tmp, trace, lo, hi)
         tmp.flush()
         code = 0
-    except Exception:
+    except Exception as exc:
         traceback.print_exc()
+        # the part is void: its file carries the reason to the parent instead,
+        # written past the text layer, whose buffer may be what failed
+        with contextlib.suppress(Exception):
+            os.ftruncate(tmp.fileno(), 0)
+            os.pwrite(tmp.fileno(), f"{type(exc).__name__}: {exc}".encode(), 0)
     finally:
         os._exit(code)
 
 
-def write_trace_csv(result, path):
-    """Write the trace as CSV, formatted by one process per available CPU.
+class _PartFailed(RuntimeError):
+    """A forked part writer exited with a failure status."""
 
-    The 256-row chunks are split into contiguous parts. The parent formats
-    the first part; each other part is formatted by a forked child into an
-    unnamed temporary file in the output directory, which the parent then
-    appends in order. The bytes do not depend on the number of parts.
-    ``path`` is replaced only once the whole trace is written.
-    """
-    n = result.config.plant.n
-    tr = result.trace
-    cols = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xr{i + 1}" for i in range(n)]
-        + ["e", "edot_hat"]
-        + [f"theta{i + 1}" for i in range(n)]
-        + [f"theta_hat{i + 1}" for i in range(n)]
-        + ["u", "Eu", "Ed"]
-    )
-    keys = ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "u", "Eu", "Ed")
-    columns = [tr[key] for key in keys]
-    # '%.17g' gives the same text as _fmt; the event flags are ints
-    row_fmt = "%.17g," * (len(cols) - 2) + "%d,%d\n"
-    rows = tr["t"].shape[0]
+
+#: chunks a part formatted while the run steps holds at least, about 14 ms
+#: of formatting, so that a fork and its copy-on-write faults in the running
+#: parent stay small beside the part
+_MIN_PART_CHUNKS = 8
+
+
+def _part_rows(rows, cpus):
+    """Rows a part formatted while the run steps holds at least."""
+    if cpus < 2:
+        return math.inf
     chunks = -(-rows // _TRACE_CHUNK)
-    parts = max(1, min(_cpu_count(), chunks)) if hasattr(os, "fork") else 1
-    edges = [min(rows, k * chunks // parts * _TRACE_CHUNK) for k in range(parts + 1)]
+    return max(_MIN_PART_CHUNKS, round(2 * math.sqrt(chunks))) * _TRACE_CHUNK
 
-    children = []   # (pid, part file, rows), in part order, not yet reaped
-    with _replaced_on_success(path) as f, contextlib.ExitStack() as part_files:
+
+class _TraceCsv:
+    """``run``'s ``on_rows``: formats a trace's rows into ``f`` as they land.
+
+    With more than one CPU, each time enough rows have landed and no part
+    writer is busy, a forked part writer formats them, from its
+    copy-on-write view of the trace arrays, into an unnamed temporary file in
+    ``directory``; the parent appends each finished part in row order.  The
+    parts are sized from the trace's length, so that a run forks a few times
+    and the rows left when it ends are few.  ``finish`` splits those rows
+    between the parent and one forked writer per further CPU.  The bytes do
+    not depend on the CPU count.
+    """
+
+    def __init__(self, f, directory):
+        self.f = f
+        self.directory = directory
+        self.cpus = _cpu_count() if hasattr(os, "fork") else 1
+        self.trace = None
+        self.done = 0       # rows handed to a part
+        self.parts = []     # [pid, file, lo, hi] in row order, not yet
+        #                     appended; pid None: reaped, or the parent's
+        self.part_rows = None
+
+    def __call__(self, trace, stop):
+        self.trace = trace
+        if self.part_rows is None:
+            self.part_rows = _part_rows(len(trace["t"]), self.cpus)
+        self._append(block=False)
+        # the rows of the last call are left to finish, which splits them
+        if (not self.parts and stop - self.done >= self.part_rows
+                and stop < len(trace["t"])):
+            self._fork(stop)
+
+    def _fork(self, hi):
+        """Hand rows [done, hi) to a forked part writer."""
+        lo, self.done = self.done, hi
+        tmp = tempfile.TemporaryFile("w+", dir=self.directory)
         try:
-            for lo, hi in zip(edges[1:-1], edges[2:]):
-                tmp = part_files.enter_context(
-                    tempfile.TemporaryFile("w+", dir=Path(path).parent))
-                pid = os.fork()
-                if pid == 0:
-                    _write_part_in_child(tmp, columns, row_fmt, lo, hi)
-                children.append((pid, tmp, f"{lo}-{hi}"))
-            f.write(",".join(cols) + "\n")
-            _write_chunks(f, columns, row_fmt, edges[0], edges[1])
-            f.flush()
-            while children:
-                pid, tmp, part_rows = children[0]
-                status = os.waitpid(pid, 0)[1]
-                del children[0]
+            pid = os.fork()
+        except BaseException:
+            tmp.close()
+            raise
+        if pid == 0:
+            _write_part_in_child(tmp, self.trace, lo, hi)
+        self.parts.append([pid, tmp, lo, hi])
+
+    def _append(self, block):
+        """Append the parts in row order while they are done; ``block``: wait
+        for each."""
+        while self.parts:
+            pid, tmp, lo, hi = self.parts[0]
+            if pid is not None:
+                reaped, status = os.waitpid(pid, 0 if block else os.WNOHANG)
+                if not reaped:
+                    return
+                self.parts[0][0] = None
                 if status != 0:
-                    raise RuntimeError(
-                        f"trace writer of rows {part_rows} exited with status "
-                        f"{os.waitstatus_to_exitcode(status)}")
-                # copied a buffer at a time, so the parent never holds a part
-                tmp.seek(0)
-                shutil.copyfileobj(tmp.buffer, f.buffer)
-        finally:
-            for pid, _, _ in children:
+                    code = os.waitstatus_to_exitcode(status)
+                    message = f"trace writer of rows {lo}-{hi} exited with status {code}"
+                    if code == 1:   # its own failure, whose reason it left
+                        message += ": " + os.pread(tmp.fileno(), 500, 0).decode(
+                            errors="replace")
+                    raise _PartFailed(message)
+            # copied a buffer at a time, so the parent never holds a part
+            self.f.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp.buffer, self.f.buffer)
+            tmp.close()
+            del self.parts[0]
+
+    def finish(self):
+        """Format the rows not yet handed to a part and append every part.
+
+        The parent formats the first of the remaining parts, straight into
+        ``f`` unless a part before it is still being written.
+        """
+        rows = len(self.trace["t"])
+        lo = self.done
+        chunks = -(-(rows - lo) // _TRACE_CHUNK)
+        parts = max(1, min(self.cpus, chunks))
+        edges = [min(rows, lo + k * chunks // parts * _TRACE_CHUNK)
+                 for k in range(parts + 1)]
+        self._append(block=False)
+        ahead = len(self.parts)
+        self.done = edges[1]
+        for hi in edges[2:]:
+            self._fork(hi)
+        if ahead:
+            tmp = tempfile.TemporaryFile("w+", dir=self.directory)
+            self.parts.insert(ahead, [None, tmp, lo, edges[1]])
+            _write_chunks(tmp, self.trace, lo, edges[1])
+        else:
+            _write_chunks(self.f, self.trace, lo, edges[1])
+        self._append(block=True)
+
+    def close(self):
+        """Kill and reap the part writers still running; drop their files."""
+        for pid, tmp, _, _ in self.parts:
+            if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            tmp.close()
+        self.parts.clear()
+
+
+@contextlib.contextmanager
+def _trace_csv(path, n):
+    """``on_rows`` for ``run`` that writes the trace to ``path``.
+
+    ``path`` is replaced when the block succeeds; when it raises, the part
+    writers are killed and reaped and no file is left.
+    """
+    with _replaced_on_success(path) as f:
+        f.write(_trace_header(n))
+        writer = _TraceCsv(f, Path(path).parent)
+        try:
+            yield writer
+            writer.finish()
+        finally:
+            writer.close()
+
+
+def write_trace_csv(result, path):
+    """Write a finished run's trace as CSV, with the writer ``run`` streams
+    into (see _TraceCsv): the same bytes."""
+    with _trace_csv(path, result.config.plant.n) as on_rows:
+        on_rows(result.trace, len(result.trace["t"]))
 
 
 def _config_echo(cfg):
@@ -438,11 +577,11 @@ def cmd_run(args):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _output_failed(exc)
-    result = run(cfg)
     try:
-        write_trace_csv(result, out / "trace.csv")
+        with _trace_csv(out / "trace.csv", cfg.plant.n) as on_rows:
+            result = run(cfg, on_rows=on_rows)
         write_summary(result, out / "summary.yaml")
-    except (OSError, RuntimeError) as exc:   # RuntimeError: a forked writer failed
+    except (OSError, _PartFailed) as exc:   # a run's own errors pass through
         return _output_failed(exc)
     if result.status == "diverged":
         print(f"error: divergence at step {result.error_step}: {result.error}",

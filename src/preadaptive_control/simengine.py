@@ -19,6 +19,7 @@ from .attention import (  # update_velocity: the per-layer tracer wraps it here
     AttentionConfig,
     AttentionState,
     detect_events,
+    require_stable_estimator,
     update_velocity,
     velocity_estimator,
 )
@@ -67,6 +68,11 @@ class PreadaptSettings:
         require_finite("init_scale", self.init_scale)
         if self.clip_norm is not None:
             require_finite("clip_norm", self.clip_norm)
+        # a step or a clip bound of 0 or less turns the update into ascent
+        for name in ("gamma_pa", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
         # not int(value): a bool is an int to Python, and int(2.7) is 2
         for name, low in (("hidden", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -125,6 +131,7 @@ class RunConfig:
                 raise ConfigError(
                     f"{name} {when} is not a multiple of dt {self.dt}"
                 )
+        require_stable_estimator(self.attention, self.dt)
         if self.preadapt.learner_enabled and not self.preadapt.enabled:
             raise ConfigError("learner requires preadaptation to be enabled")
 
@@ -396,7 +403,9 @@ def _segment_source(st, with_sens, exact_sens):
     # so the state is updated in place
     loop = (book + [f"rows += ({', '.join(y[:3 * n])}, e, edot)"]
             + lines + [f"{v} = {expr}" for v, expr in zip(y, out)] + [
-        f"if not {' + '.join(f'abs({v})' for v in y)} <= {_literal(DIVERGENCE_LIMIT)}:",
+        # squares: no call per component; an overflow only sends the row to
+        # the exact check
+        f"if not {' + '.join(f'{v} * {v}' for v in y)} <= {_literal(DIVERGENCE_LIMIT ** 2)}:",
         "    try:",
         f"        check_bounded({state}, k * {dt} + {dt}, {3 * n})",
         "    except DivergenceError as exc:",
@@ -556,11 +565,18 @@ def _next_piece_start(schedule, t):
 _TRACE_CHUNK = 256
 
 
-def _write_rows(trace, rows, start, n, ctrl, r):
+def _write_rows(trace, rows, start, pieces, n, ctrl, r):
     """Write the buffered rows (x, x_r, theta_hat, e, edot_hat each) from row
-    ``start`` on, with their control input; returns the next row to write."""
+    ``start`` on, with their true parameter and control input; returns the
+    next row to write."""
     block = np.array(rows).reshape(-1, 3 * n + 2)
     stop = start + block.shape[0]
+    hi = stop
+    for first, theta in reversed(pieces):   # (first row, theta) of each piece
+        if hi <= start:
+            break
+        trace["theta"][max(first, start):hi] = theta
+        hi = first
     x = trace["x"][start:stop]
     theta_hat = trace["theta_hat"][start:stop]
     x[:] = block[:, :n]
@@ -575,7 +591,7 @@ def _write_rows(trace, rows, start, n, ctrl, r):
     return stop
 
 
-def run(cfg):
+def run(cfg, on_rows=None):
     """Simulate one closed-loop run; deterministic given config and seed.
 
     Per row k: e and its rate estimate, event detection, the onset's
@@ -583,6 +599,11 @@ def run(cfg):
     then the RK4 step to row k + 1.  The rows between two events, schedule
     pieces or trace chunks run in a compiled ``segment``; this loop handles
     what happens at their ends.
+
+    ``on_rows(trace, stop)``, if given, is called each time a chunk of rows
+    has landed in the trace arrays, every column of rows [0, stop) final,
+    and once more at the end with the whole trace, cut short after a
+    divergence; it sees the arrays the result returns.
     """
     ctrl, ref = build_controller(cfg)
     stepper = _Stepper(cfg, ctrl, ref)
@@ -693,7 +714,9 @@ def run(cfg):
             rows += (e, edot)
             break
         if k - written == _TRACE_CHUNK:
-            written = _write_rows(trace, rows, written, n, ctrl, cfg.r)
+            written = _write_rows(trace, rows, written, pieces, n, ctrl, cfg.r)
+            if on_rows is not None:
+                on_rows(trace, written)
         segment = stepper.segment(sens.active, exact_sens)
         peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
                    else (0.0, 0.0))
@@ -711,12 +734,12 @@ def run(cfg):
             steps_done = k
             break
 
-    _write_rows(trace, rows, written, n, ctrl, cfg.r)
-    for (start, theta), (stop, _) in zip(pieces, pieces[1:] + [(N + 1, None)]):
-        trace["theta"][start:stop] = theta
+    _write_rows(trace, rows, written, pieces, n, ctrl, cfg.r)
     if status == "diverged":
         for key in trace:
             trace[key] = trace[key][:steps_done + 1]
+    if on_rows is not None:
+        on_rows(trace, steps_done + 1)
 
     if sens.active:
         # phase never closed before the horizon: no weight update, log it

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from preadaptive_control import AttentionConfig, AttentionState, detect_events
-from preadaptive_control.attention import velocity_estimator
+from preadaptive_control.attention import require_stable_estimator, velocity_estimator
 from preadaptive_control.errors import ConfigError
 
 CFG = AttentionConfig(c_e=0.005, c_ed=0.02)
@@ -164,3 +164,20 @@ def test_scenario1_rac_event_timing(rac1_result):
     for tj, tu, td, nxt in zip(jumps, eus, eds, [20.0, 45.0, 60.0]):
         assert tj < tu <= tj + 0.5
         assert tu < td < nxt
+
+
+def test_estimator_stability_bounds():
+    dt = 1e-3
+    # dirty derivative: the estimate is scaled by 1 - dt / tau_f per sample
+    require_stable_estimator(AttentionConfig(estimator="dirty", tau_f=0.50001e-3), dt)
+    with pytest.raises(ConfigError, match="^tau_f 0.0005 .*below 2"):
+        require_stable_estimator(AttentionConfig(estimator="dirty", tau_f=0.5e-3), dt)
+    # tracking: the defaults' update has spectral radius about 0.998
+    require_stable_estimator(AttentionConfig(), dt)
+    with pytest.raises(ConfigError, match=r"^omega_n 5000.0 and zeta 0.2 .*radius 4\.89898,"):
+        require_stable_estimator(AttentionConfig(omega_n=5000.0), dt)
+    with pytest.raises(ConfigError, match="radius inf"):
+        require_stable_estimator(AttentionConfig(omega_n=1e300), dt)
+    # the --dt override is checked too: the defaults are unstable at dt 0.5
+    with pytest.raises(ConfigError, match="^omega_n"):
+        require_stable_estimator(AttentionConfig(), 0.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from preadaptive_control import ThetaSchedule, cli, default_config
+from preadaptive_control import LearnerError, ThetaSchedule, cli, default_config
 from preadaptive_control import run as sim_run
 
 
@@ -143,6 +143,27 @@ def test_malformed_scalar_rejected(tmp_path, entry, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry, field", [
+    ("preadapt: {enabled: true, learner: true, clip_norm: -1}", "clip_norm"),
+    ("preadapt: {enabled: true, learner: true, clip_norm: 0}", "clip_norm"),
+    ("preadapt: {enabled: true, learner: true, gamma_pa: -1}", "gamma_pa"),
+    ("attention: {omega_n: 5000}", "omega_n"),
+    ("attention: {omega_n: 1.0e+300}", "omega_n"),
+    ("attention: {estimator: dirty, tau_f: 1.0e-6}", "tau_f"),
+])
+def test_ascent_or_unstable_estimator_rejected(tmp_path, entry, field):
+    # these used to run with status ok: a step or clip bound of 0 or less
+    # turned the learner into gradient ascent, and an estimator unstable at
+    # dt filled tens of thousands of trace rows with inf and NaN
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"plant: b747\nschedule: {{scenario: 1}}\n{entry}\n")
+    with pytest.raises(cli.ConfigError, match=f"^{field} "):
+        cli.load_scenario(str(path))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_negative_seed_override_rejected(short_scenario, tmp_path):
     out = tmp_path / "o"
     code = cli.main(["run", short_scenario, "--seed", "-1", "--out", str(out)])
@@ -249,13 +270,8 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("which", ["ok", "diverged"])
-def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_path,
-                                                     monkeypatch):
-    res = writer_traces[which]
-    ref = _single_process_bytes(res, tmp_path, monkeypatch)
-    assert ref.count(b"\n") == len(res.trace["t"]) + 1
-    chunks = -(-len(res.trace["t"]) // cli._TRACE_CHUNK)
+def _counting_forks(monkeypatch):
+    """os.fork, patched to record the pid each fork returns to the parent."""
     real_fork = os.fork
     forks = []
 
@@ -265,6 +281,17 @@ def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_p
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("which", ["ok", "diverged"])
+def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_path,
+                                                     monkeypatch):
+    res = writer_traces[which]
+    ref = _single_process_bytes(res, tmp_path, monkeypatch)
+    assert ref.count(b"\n") == len(res.trace["t"]) + 1
+    chunks = -(-len(res.trace["t"]) // cli._TRACE_CHUNK)
+    forks = _counting_forks(monkeypatch)
     for cpus in (2, 3, chunks + 3):
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         forks.clear()
@@ -283,10 +310,10 @@ def test_trace_writer_failure_reaps_children(writer_traces, failing, tmp_path,
     # the parent formats the part from row 0, each forked child a later part
     real_write_chunks = cli._write_chunks
 
-    def write_chunks(f, columns, row_fmt, lo, hi):
+    def write_chunks(f, trace, lo, hi):
         if (lo == 0) == (failing == "parent"):
             raise OSError(f"planted failure in the {failing}")
-        real_write_chunks(f, columns, row_fmt, lo, hi)
+        real_write_chunks(f, trace, lo, hi)
 
     monkeypatch.setattr(cli, "_write_chunks", write_chunks)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
@@ -308,6 +335,147 @@ def test_trace_writer_without_fork_is_one_process(writer_traces, tmp_path,
     assert (tmp_path / "trace.csv").read_bytes() == ref
 
 
+def test_write_chunks_formats_each_value_like_fmt(tmp_path):
+    # theta's text is formatted once per piece and spliced into the row
+    # format; pieces change inside a chunk and inside a 32-row operation,
+    # and 0.0, -0.0 and NaN, which compare alike or unlike, keep their text
+    rows, n = 600, 2
+    rng = np.random.default_rng(0)
+    theta = np.zeros((rows, n))
+    theta[100:300] = [-0.0, 0.0]
+    theta[300:301] = [np.nan, 1e300]
+    theta[301:] = [0.1, -2.5e-7]
+    trace = {"t": np.arange(rows) * 1e-3, "x": rng.normal(size=(rows, n)),
+             "x_r": rng.normal(size=(rows, n)), "e": rng.normal(size=rows),
+             "edot_hat": rng.normal(size=rows), "theta": theta,
+             "theta_hat": rng.normal(size=(rows, n)), "u": rng.normal(size=rows),
+             "Eu": (np.arange(rows) % 7 == 0).astype(np.int8),
+             "Ed": (np.arange(rows) % 11 == 0).astype(np.int8)}
+    lines = []
+    for k in range(rows):
+        values = [trace["t"][k], *trace["x"][k], *trace["x_r"][k], trace["e"][k],
+                  trace["edot_hat"][k], *theta[k], *trace["theta_hat"][k],
+                  trace["u"][k]]
+        lines.append(",".join([*map(cli._fmt, values), str(trace["Eu"][k]),
+                               str(trace["Ed"][k])]) + "\n")
+    for lo, hi in ((0, rows), (99, 301), (300, 300)):
+        with open(tmp_path / "part.csv", "w") as f:
+            cli._write_chunks(f, trace, lo, hi)
+        assert (tmp_path / "part.csv").read_text() == "".join(lines[lo:hi])
+
+
+# --------------------------------------------------------------------------
+# the trace formatted while the run steps
+
+#: a scenario-1 schedule that diverges at t = 20 s, 20000 rows into a
+#: 30001-row trace
+DIVERGING = {"plant": "b747", "schedule": {"pieces": [
+    {"t": 0.0, "theta": [0.1, 0.1, 0.1]},
+    {"t": 20.0, "theta": [3000.0, 3000.0, 3000.0]}], "horizon": 30.0}}
+
+
+@pytest.fixture(scope="module")
+def streamed_scenarios(tmp_path_factory):
+    """The bundled scenario-1 learner file and a diverging one, each with
+    the bytes write_trace_csv gives its finished run in one process."""
+    path = tmp_path_factory.mktemp("streamed")
+    (path / "diverging.yaml").write_text(yaml.safe_dump(DIVERGING))
+    scenarios = {}
+    for which, scenario in (("learner", scenario_path("scenario1_learner.yaml")),
+                            ("diverged", str(path / "diverging.yaml"))):
+        res = sim_run(cli.load_scenario(scenario))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_cpu_count", lambda: 1)
+            cli.write_trace_csv(res, path / f"{which}.csv")
+        scenarios[which] = (scenario, res, (path / f"{which}.csv").read_bytes())
+    assert scenarios["learner"][1].status == "ok"
+    assert scenarios["diverged"][1].status == "diverged"
+    assert 20000 < len(scenarios["diverged"][1].trace["t"]) < 30001
+    return scenarios
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("which", ["learner", "diverged"])
+def test_streamed_trace_equals_written_trace(streamed_scenarios, which, cpus, tmp_path,
+                                             monkeypatch):
+    scenario, res, ref = streamed_scenarios[which]
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    forks = _counting_forks(monkeypatch)
+    out = tmp_path / "o"
+    code = cli.main(["run", scenario, "--out", str(out)])
+    assert code == (cli.EXIT_OK if which == "learner" else cli.EXIT_DIVERGED)
+    assert (out / "trace.csv").read_bytes() == ref
+    assert ref.count(b"\n") == len(res.trace["t"]) + 1
+    assert sorted(os.listdir(out)) == ["summary.yaml", "trace.csv"]
+    # with more CPUs than one, parts were forked while the run stepped, on
+    # top of the cpus - 1 that split the rows left at its end
+    assert len(forks) > cpus - 1 if cpus > 1 else forks == []
+    _assert_no_child_left()
+
+
+def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace.csv").write_text("previous trace\n")
+    parent = os.getpid()
+    real_write_chunks = cli._write_chunks
+
+    def write_chunks(f, trace, lo, hi):
+        if os.getpid() != parent:
+            raise OSError("planted failure in a part writer")
+        real_write_chunks(f, trace, lo, hi)
+
+    raised = []
+    real_run = cli.run
+
+    def run(cfg, on_rows=None):
+        try:
+            return real_run(cfg, on_rows=on_rows)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "_write_chunks", write_chunks)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "run", run)
+    assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OUTPUT
+    # the failed part stopped the run: it was seen while the run stepped
+    assert [type(exc) for exc in raised] == [cli._PartFailed]
+    assert "exited with status 1" in capsys.readouterr().err
+    assert os.listdir(out) == ["trace.csv"]
+    assert (out / "trace.csv").read_text() == "previous trace\n"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [cli.ConfigError, LearnerError])
+def test_run_error_with_live_part_writers_keeps_its_exit(short_scenario, error, tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace.csv").write_text("previous trace\n")
+    forks = _counting_forks(monkeypatch)
+    real_run = cli.run
+
+    def run(cfg, on_rows=None):
+        def rows_then_fail(trace, stop):
+            on_rows(trace, stop)
+            if forks:   # a part writer was forked just now, or is done unreaped
+                raise error("planted failure in the run")
+        return real_run(cfg, on_rows=rows_then_fail)
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "run", run)
+    if error is cli.ConfigError:
+        assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_CONFIG
+    else:   # not an exit code of its own: it stays an exception
+        with pytest.raises(LearnerError, match="planted failure"):
+            cli.main(["run", short_scenario, "--out", str(out)])
+    assert len(forks) == 1
+    assert os.listdir(out) == ["trace.csv"]
+    assert (out / "trace.csv").read_text() == "previous trace\n"
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("failing", ["trace", "summary"])
 def test_cmd_run_output_failure_exit(short_scenario, failing, tmp_path, monkeypatch,
                                      capsys):
@@ -316,7 +484,7 @@ def test_cmd_run_output_failure_exit(short_scenario, failing, tmp_path, monkeypa
     (out / "trace.csv").write_text("previous trace\n")
     real_dump = cli.yaml.safe_dump
 
-    def failing_write_chunks(f, columns, row_fmt, lo, hi):
+    def failing_write_chunks(f, trace, lo, hi):
         raise OSError("planted failure in the trace writer")
 
     def failing_dump(doc, f, **kwargs):

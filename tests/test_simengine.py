@@ -398,6 +398,34 @@ def test_step_bounds_states_but_not_sensitivities(stepper):
     assert exc.value.t == 1.001
 
 
+@pytest.fixture(scope="module")
+def resting_stepper():
+    """r = 0: a state with x = x_r = 0 stays put, whatever theta_hat holds."""
+    cfg = default_config(1, r=0.0)
+    return _Stepper(cfg, *build_controller(cfg))
+
+
+@pytest.mark.parametrize("theta_hat", [[1e6, 0.0, 0.0], [1e6, -1e6, 1e6]])
+def test_step_runs_on_with_states_at_the_limit(resting_stepper, theta_hat):
+    # one component at the limit meets the squared pre-check with equality;
+    # three fail it and pass the exact check it sends them to
+    y = [0.0] * 6 + theta_hat
+    assert resting_stepper.step(y, np.ones(3), False, False, k=1000) == y
+    y[6] = float(np.nextafter(1e6, np.inf))
+    with pytest.raises(DivergenceError, match="^state component 6 exceeded"):
+        resting_stepper.step(y, np.ones(3), False, False, k=1000)
+
+
+def test_step_runs_on_with_huge_finite_sensitivity(resting_stepper):
+    # 1e200 squared overflows the pre-check; the exact check only asks a
+    # sensitivity to be finite
+    y = [0.0] * 9 + [0.0] * 9 + np.eye(3).reshape(-1).tolist()
+    y[9] = 1e200    # S_e[0, 0]
+    out = resting_stepper.step(y, np.ones(3), True, True, k=1000)
+    assert out[:9] == [0.0] * 9
+    assert 1e199 < abs(out[9]) < np.inf
+
+
 def test_learner_updates_weights_each_closed_phase(learner1_result):
     closed = [rep for rep in learner1_result.phase_reports if rep["t_d"] is not None]
     assert len(closed) >= 3
