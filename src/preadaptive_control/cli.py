@@ -5,8 +5,8 @@ Subcommands:
   compare    run two scenario files and tabulate per-phase peak reductions
   grad-check validate the sensitivity-ODE gradient against finite differences
 
-Exit codes: 0 ok, 2 config error, 3 divergence, 4 tolerance failure,
-5 output write failed.
+Exit codes: 0 ok, 2 config error (an offline solve that fails included),
+3 divergence, 4 tolerance failure, 5 output write failed.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import yaml
 
 from .attention import AttentionConfig
 from .dynamics import PlantConfig, ThetaSchedule
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, SolverError
 from .learner import GradientMode
 from .preadapt import PreadaptNet
 from .simengine import (
@@ -37,7 +37,7 @@ from .simengine import (
     PreadaptSettings,
     RunConfig,
     build_b747,
-    compare_results,
+    compare,
     grad_check,
     run,
     scenario_schedule,
@@ -600,13 +600,7 @@ def cmd_compare(args):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _output_failed(exc)
-    res_a = run(cfg_a)
-    res_b = run(cfg_b)
-    for name, res in (("A", res_a), ("B", res_b)):
-        if res.status == "diverged":
-            print(f"error: run {name} diverged: {res.error}", file=sys.stderr)
-            return EXIT_DIVERGED
-    rows = compare_results(res_a, res_b)
+    _, _, rows = compare(cfg_a, cfg_b)   # a diverged run raises DivergenceError
     try:
         write_compare_csv(rows, out / "compare.csv")
     except OSError as exc:
@@ -674,7 +668,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SolverError) as exc:   # a solve fails only on bad input
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -125,22 +125,14 @@ class ControllerConfig:
 def control_input(cfg, x, theta_hat, r):
     """u = -K x - theta_hat.x + k0 r  (baseline plus adaptive terms).
 
-    ``x`` and ``theta_hat`` are n-vectors, giving a float, or m x n batches
-    of rows, giving an m-vector.  Each row's dot products are stacked
-    matmuls, which call the same BLAS dot per row as the vector form, so a
-    batch row equals the vector result bit for bit (``x @ K`` and ``einsum``
-    sum in another order).
+    The run's step sums the same terms as ``k0 r - sum_j (K_j + theta_hat_j)
+    x_j``, left to right; this vector form agrees with it to a few ulp.
     """
     x = np.asarray(x, dtype=float)
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != cfg.n or theta_hat.shape != x.shape:
+    if x.shape != (cfg.n,) or theta_hat.shape != (cfg.n,):
         raise ValueError("dimension mismatch with controller config")
-    if x.ndim == 1:
-        return float(-(cfg.K[0] @ x) - theta_hat @ x + cfg.k0 * r)
-    col = x[:, :, None]
-    kx = np.matmul(cfg.K[None], col).reshape(-1)
-    thx = np.matmul(theta_hat[:, None, :], col).reshape(-1)
-    return -kx - thx + cfg.k0 * r
+    return float(-(cfg.K[0] @ x) - theta_hat @ x + cfg.k0 * r)
 
 
 def adaptation_derivative(cfg, x, e_v, B):

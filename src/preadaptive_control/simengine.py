@@ -23,6 +23,7 @@ from .attention import (  # update_velocity: the per-layer tracer wraps it here
     update_velocity,
     velocity_estimator,
 )
+# control_input: the per-layer tracer wraps it here
 from .controller import ControllerConfig, control_input, lqr_gain, solve_lyapunov
 from .dynamics import (
     DIVERGENCE_LIMIT,
@@ -271,13 +272,24 @@ def _state_names(n, with_sens, sfx):
     return [name + sfx for name in names]
 
 
+def _control_code(st, sfx):
+    """Expression of the control ``u = k0 r - sum_j (K_j + theta_hat_j) x_j``,
+    summed left to right, over the locals of ``_state_names`` suffixed ``sfx``."""
+    names = _state_names(st.n, False, sfx)
+    x, th = names[:st.n], names[2 * st.n:]
+    gain = [_sum(st.K[j], [("+", 1.0, th[j])]) for j in range(st.n)]
+    return _sum(st.k0 * st.r, [("-", g if g == th[j] else f"({g})", x[j])
+                               for j, g in enumerate(gain)])
+
+
 def _derivative_code(st, with_sens, exact_sens, sfx):
     """Statements and expressions of d/dt y for ``st``'s loop.
 
-    Returns (body, dy): ``body`` assigns the intermediates and ``dy`` holds one
-    expression per component of y, over the locals of ``_state_names`` and
-    the true parameter ``t0, t1, ...``.  Every local carries the suffix
-    ``sfx``, so the four RK4 stages can share one function.
+    Returns (body, dy): ``body`` assigns the intermediates, the control
+    ``u`` among them, and ``dy`` holds one expression per component of y,
+    over the locals of ``_state_names`` and the true parameter ``t0, t1,
+    ...``.  Every local carries the suffix ``sfx``, so the four RK4 stages
+    can share one function.
     """
     n = st.n
     R = range(n)
@@ -285,13 +297,11 @@ def _derivative_code(st, with_sens, exact_sens, sfx):
     names = _state_names(n, with_sens, sfx)
     x, xr, th = names[:n], names[n:2 * n], names[2 * n:3 * n]
     S = [names[3 * n + j * n:3 * n + (j + 1) * n] for j in range(2 * n)]
-    w, s, gs = (f"{v}{sfx}" for v in ("w", "s", "gs"))
+    u, w, s, gs = (f"{v}{sfx}" for v in ("u", "w", "s", "gs"))
     thx = _sum(None, [("+", f"t{j}", x[j]) for j in R])
-    gain = [_sum(st.K[j], [("+", 1.0, th[j])]) for j in R]
-    u = _sum(st.k0 * st.r, [("-", g if g == th[j] else f"({g})", x[j])
-                            for j, g in enumerate(gain)])
     body = [
-        f"{w} = ({thx}) + ({u})",  # thx + u
+        f"{u} = {_control_code(st, sfx)}",
+        f"{w} = ({thx}) + {u}",
         f"{s} = " + _sum(None, [("+", st.PB[j], f"({x[j]} - {xr[j]})") for j in R]),
     ]
     dy = [_sum(st.B1r[i] * st.r, [("+", st.B[i], w)]
@@ -380,12 +390,12 @@ def _segment_source(st, with_sens, exact_sens):
 
     It enters at row k, whose events ``run`` has handled, and for each row
     does the row's bookkeeping (a phase's peak |e| and cost, the learner's
-    accumulation, the trace row), the RK4 step, the guard, then e, the
-    rate estimate and the event flags of row k + 1.  It returns on an event,
-    at row ``stop``, when row k reaches ``next_start``'s schedule piece, or
-    on divergence, with ``(error, k, e, edot, flags, peak, E, y)``; after a
-    divergence, k is the row the failed step started from and ``y`` the state
-    that step made.
+    accumulation), the RK4 step with the trace row buffered before the state
+    moves, the guard, then e, the rate estimate and the event flags of row
+    k + 1.  It returns on an event, at row ``stop``, when row k reaches
+    ``next_start``'s schedule piece, or on divergence, with
+    ``(error, k, e, edot, flags, peak, E, y)``; after a divergence, k is the
+    row the failed step started from and ``y`` the state that step made.
     """
     n, iy = st.n, st.iy
     lines, out = _rk4_code(st, with_sens, exact_sens)
@@ -399,10 +409,11 @@ def _segment_source(st, with_sens, exact_sens):
                     + f"), {dt})")
     else:
         book = ["if tracking:"] + [f"    {line}" for line in book]
-    # each new component depends only on its own old one and the slopes,
-    # so the state is updated in place
-    loop = (book + [f"rows += ({', '.join(y[:3 * n])}, e, edot)"]
-            + lines + [f"{v} = {expr}" for v, expr in zip(y, out)] + [
+    # the trace row takes the control stage 1 applied; each new component
+    # depends only on its own old one and the slopes, so the state is then
+    # updated in place
+    loop = (book + lines + [f"rows += ({', '.join(y[:3 * n])}, e, edot, u_1)"]
+            + [f"{v} = {expr}" for v, expr in zip(y, out)] + [
         # squares: no call per component; an overflow only sends the row to
         # the exact check
         f"if not {' + '.join(f'{v} * {v}' for v in y)} <= {_literal(DIVERGENCE_LIMIT ** 2)}:",
@@ -458,6 +469,11 @@ class _Stepper:
     def derivative(self, with_sens, exact_sens):
         """The compiled ``f(y, theta)`` the step integrates."""
         return _compile(_coupled_derivative_source(self, with_sens, exact_sens), "f")
+
+    def control(self):
+        """The compiled ``u(y)``: the control a step from state ``y`` applies."""
+        y = _unpack(_state_names(self.n, False, ""), f"y[:{3 * self.n}]")
+        return _compile(f"def u(y):\n    {y}\n    return {_control_code(self, '')}\n", "u")
 
     def segment(self, with_sens, exact_sens):
         """The compiled ``segment`` of ``run``'s loop (``_segment_source``)."""
@@ -565,11 +581,11 @@ def _next_piece_start(schedule, t):
 _TRACE_CHUNK = 256
 
 
-def _write_rows(trace, rows, start, pieces, n, ctrl, r):
-    """Write the buffered rows (x, x_r, theta_hat, e, edot_hat each) from row
-    ``start`` on, with their true parameter and control input; returns the
-    next row to write."""
-    block = np.array(rows).reshape(-1, 3 * n + 2)
+def _write_rows(trace, rows, start, pieces, n):
+    """Write the buffered rows (x, x_r, theta_hat, e, edot_hat, u each) from
+    row ``start`` on, with their true parameter; returns the next row to
+    write."""
+    block = np.array(rows).reshape(-1, 3 * n + 3)
     stop = start + block.shape[0]
     hi = stop
     for first, theta in reversed(pieces):   # (first row, theta) of each piece
@@ -577,16 +593,12 @@ def _write_rows(trace, rows, start, pieces, n, ctrl, r):
             break
         trace["theta"][max(first, start):hi] = theta
         hi = first
-    x = trace["x"][start:stop]
-    theta_hat = trace["theta_hat"][start:stop]
-    x[:] = block[:, :n]
+    trace["x"][start:stop] = block[:, :n]
     trace["x_r"][start:stop] = block[:, n:2 * n]
-    theta_hat[:] = block[:, 2 * n:3 * n]
+    trace["theta_hat"][start:stop] = block[:, 2 * n:3 * n]
     trace["e"][start:stop] = block[:, 3 * n]
     trace["edot_hat"][start:stop] = block[:, 3 * n + 1]
-    # numpy's dot, on the rows just written: a float loop sums in a
-    # different order and would change u in the last bit
-    trace["u"][start:stop] = control_input(ctrl, x, theta_hat, r)
+    trace["u"][start:stop] = block[:, 3 * n + 2]
     rows.clear()
     return stop
 
@@ -711,10 +723,10 @@ def run(cfg, on_rows=None):
 
         if k == N:
             rows += y[:3 * n]
-            rows += (e, edot)
+            rows += (e, edot, stepper.control()(y))
             break
         if k - written == _TRACE_CHUNK:
-            written = _write_rows(trace, rows, written, pieces, n, ctrl, cfg.r)
+            written = _write_rows(trace, rows, written, pieces, n)
             if on_rows is not None:
                 on_rows(trace, written)
         segment = stepper.segment(sens.active, exact_sens)
@@ -734,7 +746,7 @@ def run(cfg, on_rows=None):
             steps_done = k
             break
 
-    _write_rows(trace, rows, written, pieces, n, ctrl, cfg.r)
+    _write_rows(trace, rows, written, pieces, n)
     if status == "diverged":
         for key in trace:
             trace[key] = trace[key][:steps_done + 1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from preadaptive_control import build_b747, default_config, run
+from preadaptive_control.simengine import build_controller
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,17 @@ def windowed_cost(result, jumps, horizon):
         a: float(np.sum(e[(t >= a) & (t < b)]) * dt)
         for a, b in zip(edges[:-1], edges[1:])
     }
+
+
+def left_to_right_u(result):
+    """The control of each trace row as the step sums it, left to right:
+    k0 r - (K_0 + theta_hat_0) x_0 - (K_1 + theta_hat_1) x_1 - ..."""
+    ctrl, _ = build_controller(result.config)
+    K, head = ctrl.K[0].tolist(), float(ctrl.k0) * float(result.config.r)
+    us = []
+    for x, th in zip(result.trace["x"].tolist(), result.trace["theta_hat"].tolist()):
+        u = head
+        for K_j, th_j, x_j in zip(K, th, x):
+            u -= (K_j + th_j) * x_j
+        us.append(u)
+    return us

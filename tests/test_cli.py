@@ -222,9 +222,10 @@ def test_trace_csv_round_trips_doubles(short_scenario, tmp_path):
 
 
 #: sha256 of short_scenario's trace.csv with the u field cut from every line,
-#: recorded with the single-process writer.  u is numpy's BLAS dot product,
-#: which may differ in the last bit between BLAS builds (see test_simengine).
+#: recorded with the single-process writer, and of the whole file: a change
+#: that moves u alone fails only the second.
 SHORT_TRACE_SHA256 = "b7115b01d3202a4b468e0c790e661b6abb0b3a32c99aa2fe801ca61bb1975803"
+SHORT_TRACE_WITH_U_SHA256 = "e62ff2aac6459a3ee062b8a02f8c0d7ca6d39179682ef395b543447b716aa73f"
 
 
 def _digest_without_u(text):
@@ -241,7 +242,9 @@ def _digest_without_u(text):
 def test_trace_csv_text_is_pinned(short_scenario, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OK
-    assert _digest_without_u((out / "trace.csv").read_text()) == SHORT_TRACE_SHA256
+    text = (out / "trace.csv").read_text()
+    assert _digest_without_u(text) == SHORT_TRACE_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == SHORT_TRACE_WITH_U_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +539,21 @@ def test_cmd_run_divergence_exit(tmp_path):
     assert yaml.safe_load((out / "summary.yaml").read_text())["status"] == "diverged"
 
 
+@pytest.mark.parametrize("Q, reason", [
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "Lyapunov residual"),
+    ([[1e12, 0, 0], [0, 1, 0], [0, 0, 1]], "Kleinman-Newton iteration did not converge"),
+])
+def test_cmd_run_solver_failure_exit(tmp_path, capsys, Q, reason):
+    # a positive-semidefinite Q passes the parser; the offline solves fail
+    path = tmp_path / "q.yaml"
+    path.write_text(yaml.safe_dump({"plant": "b747", "schedule": {"scenario": 1},
+                                    "controller": {"Q": Q}}))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+    assert list(out.iterdir()) == []   # no trace.csv and no temporary file
+
+
 def test_seed_override_changes_weights(short_scenario, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cli.main(["run", short_scenario, "--out", str(out_a), "--seed", "1"])
@@ -564,6 +582,19 @@ def test_cmd_compare_schedule_mismatch(short_scenario, tmp_path):
         "--out", str(tmp_path / "o"),
     ])
     assert code == cli.EXIT_CONFIG
+
+
+def test_cmd_compare_divergence_exit(short_scenario, tmp_path, capsys):
+    with open(short_scenario) as f:
+        doc = yaml.safe_load(f)
+    doc["theta_hat0"] = [-1e4, -1e4, -1e4]
+    diverging = tmp_path / "diverge.yaml"
+    diverging.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    code = cli.main(["compare", short_scenario, str(diverging), "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED
+    assert "the second compared run diverged" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
 
 
 # --------------------------------------------------------------------------

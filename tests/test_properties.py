@@ -19,6 +19,8 @@ from preadaptive_control import (
 )
 from preadaptive_control.simengine import _Stepper, build_controller
 
+from conftest import left_to_right_u
+
 CHUNK = 256
 DT = 1e-3
 
@@ -109,6 +111,10 @@ def test_event_bookkeeping_on_random_schedules(schedule, pre):
             assert got[:2 * cfg.plant.n] == want[:2 * cfg.plant.n]
         else:
             assert got == want
+
+    # u of every row, the horizon row's included, is the control its step
+    # applied, summed left to right
+    assert tr["u"].tolist() == left_to_right_u(res)
 
     # the reference model does not see preadaptation
     rac = run(default_config(1, schedule=schedule))

@@ -32,6 +32,8 @@ from preadaptive_control.simengine import (
     build_controller,
 )
 
+from conftest import left_to_right_u
+
 
 @pytest.fixture(scope="module")
 def learner1_result():
@@ -51,7 +53,8 @@ def exact18_result():
 
 
 def _trace_digest(res):
-    """sha256 of every trace array but u, whose dot product is BLAS's."""
+    """sha256 of every trace array but u, which _u_digest pins apart, so a
+    change that moves u alone shows as such."""
     h = hashlib.sha256()
     for key in ("t", "x", "x_r", "e", "edot_hat", "theta", "theta_hat", "Eu", "Ed"):
         a = res.trace[key]
@@ -186,32 +189,50 @@ def test_learner_golden_sensitivity_path(learner1_result):
     )
 
 
+def _u_digest(res):
+    """sha256 of u, the control each step applied."""
+    return hashlib.sha256(np.ascontiguousarray(res.trace["u"]).tobytes()).hexdigest()
+
+
 def test_learner_trace_is_pinned_bit_for_bit(learner1_result):
     # recorded from the reference simulation: unlike the 1e-15 goldens, this
     # fails when any sum of the step is reordered
     assert _trace_digest(learner1_result) == (
         "9c705a8433fa4640e30ddf9e46bdec3c223e4591613381ff24c94fb88b01582a")
+    assert _u_digest(learner1_result) == (
+        "9d46808c7ea7b8542d842bba060f558ac4de7a6baa879bd2eeebd8c99aab72c0")
 
 
 def test_rac_trace_is_pinned_bit_for_bit(rac1_result):
     # the plain-step path alone: no phase ever carries sensitivities
     assert _trace_digest(rac1_result) == (
         "6694c3e87677368ac0a9858435e3d1d5fc3e0d48d29a101eeca8f69afbbd443d")
+    assert _u_digest(rac1_result) == (
+        "338586bca776b0ba09ca5d5a71e278a5a366fd9b1c7aa5029b98c7938b9b3190")
 
 
 def test_exact_mode_trace_is_pinned_bit_for_bit(exact18_result):
     # the exact-sensitivity step, whose Pi carries the true mismatch
     assert _trace_digest(exact18_result) == (
         "bfe750f13f83d25e73e8b2375d008f7f26f2c796fbba405da63c834368fcd64e")
+    assert _u_digest(exact18_result) == (
+        "ec4bcdc4b107f9f81a624546f94cee75d8304a70754e6cf97280482de081f71b")
 
 
 def test_trace_u_matches_control_input_per_row(learner1_result):
-    # u is written a chunk of rows at a time; each row equals the vector form
-    tr = learner1_result.trace
-    ctrl, _ = build_controller(learner1_result.config)
-    r = learner1_result.config.r
-    u = [control_input(ctrl, x, th, r) for x, th in zip(tr["x"], tr["theta_hat"])]
-    assert np.array_equal(tr["u"], u)
+    # every row's u, the horizon row's included, is the one its step
+    # applied, summed left to right, and within a few ulp of the vector
+    # form's dot products; the 2-state loop has k0 r = 0.05, so the sum has
+    # a head there
+    for res in (learner1_result, run(_two_state_config())):
+        tr = res.trace
+        assert tr["u"].tolist() == left_to_right_u(res)
+        ctrl, _ = build_controller(res.config)
+        r = res.config.r
+        u = [control_input(ctrl, x, th, r) for x, th in zip(tr["x"], tr["theta_hat"])]
+        scale = (abs(ctrl.k0 * r) + np.abs(tr["x"]) @ np.abs(ctrl.K[0])
+                 + np.sum(np.abs(tr["x"] * tr["theta_hat"]), axis=1))
+        assert np.all(np.abs(tr["u"] - u) <= 4 * np.spacing(scale))
 
 
 def test_exact_mode_golden_sensitivity_path(exact18_result):
