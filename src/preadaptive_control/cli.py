@@ -36,6 +36,7 @@ from .simengine import (
     _TRACE_CHUNK,
     PreadaptSettings,
     RunConfig,
+    _cpu_count,
     build_b747,
     compare,
     grad_check,
@@ -269,13 +270,6 @@ def _replaced_on_success(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _trace_header(n):

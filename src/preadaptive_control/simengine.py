@@ -11,6 +11,10 @@ sensitivity blocks) with one RK4 step.
 import functools
 import math
 import numbers
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -836,6 +840,114 @@ def compare(config_a, config_b):
 
 
 # --------------------------------------------------------------------------
+# independent work on every CPU
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _picklable(exc):
+    """``exc`` if a pickle round trip gives back its type and message, else
+    a RuntimeError that names it."""
+    try:
+        back = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        back = None
+    if type(back) is type(exc) and str(back) == str(exc):
+        return exc
+    return RuntimeError(f"fork_map worker raised {type(exc).__name__}: {exc}")
+
+
+def _map_in_child(fn, items, fd):
+    """Body of a forked fork_map worker: pickle ``(True, results)`` or
+    ``(False, exception)`` to the pipe ``fd``, then _exit.
+
+    os._exit skips the parent's stdio buffers and atexit hooks, which the
+    child inherited and must not flush or run.  The traceback of an
+    exception ``fn`` raises goes to stderr here; only its type and message
+    cross the pipe.
+    """
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            try:
+                data = pickle.dumps((True, [fn(x) for x in items]))
+            except Exception as exc:
+                traceback.print_exc()
+                data = pickle.dumps((False, _picklable(exc)))
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(fn, items):
+    """``[fn(x) for x in items]``, computed by one process per CPU.
+
+    The items are dealt round-robin between this process and one forked
+    worker per further CPU, ``min(_cpu_count(), len(items))`` processes in
+    all; this process computes its own share.  Each worker pickles its
+    results to this process over a pipe, which is read to its end before
+    that worker, and only it, is waited for.  An exception ``fn`` raises in
+    a worker is raised here with the same type and message (a RuntimeError
+    naming it if it does not pickle), so a DivergenceError keeps its exit
+    code.  On any exception here, KeyboardInterrupt included, every live
+    worker is killed and reaped.  With one CPU, or without ``os.fork``, it
+    is a plain loop.
+
+    A forked child holds only the thread that forked it, so ``fn`` must not
+    need a lock that another thread of the parent could hold at the fork.
+    grad_check's replays run the generated loop and call no BLAS routine.
+    A ``fn`` that does call BLAS after the parent has (the acceptance
+    criteria's seed runs, through build_controller) relies on the BLAS
+    re-creating its thread pool in a forked child, as OpenBLAS's atfork
+    handler does; under a BLAS without one, such a worker may hang.
+    """
+    items = list(items)
+    procs = min(_cpu_count(), len(items)) if hasattr(os, "fork") else 1
+    if procs < 2:
+        return [fn(x) for x in items]
+    workers = []   # [pid, pipe] of each worker, pid None once reaped
+    try:
+        for w in range(1, procs):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _map_in_child(fn, items[w::procs], wfd)
+            os.close(wfd)
+            workers.append([pid, os.fdopen(r, "rb")])
+        results = [None] * len(items)
+        results[::procs] = [fn(x) for x in items[::procs]]
+        for w, worker in enumerate(workers, 1):
+            pid, pipe = worker
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            worker[0] = None
+            if status != 0:
+                raise RuntimeError(f"fork_map worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            ok, out = pickle.loads(data)
+            if not ok:
+                raise out
+            results[w::procs] = out
+        return results
+    finally:
+        for pid, pipe in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
+
+
+# --------------------------------------------------------------------------
 # finite-difference gradient check
 
 def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
@@ -902,18 +1014,24 @@ def grad_check(cfg, phase_index, delta, result=None):
     n = cfg.plant.n
     theta_I = snap.theta_I
 
-    fd = np.zeros(n)
+    # the two sensitivity replays, the slow ones, come first, so that
+    # fork_map's round-robin deal puts them in different processes
+    modes = (GradientMode.EXACT, GradientMode.APPROX)
+    jobs = [(theta_I, mode) for mode in modes]
     for j in range(n):
         bump = np.zeros(n)
         bump[j] = delta
-        e_plus, _ = _replay_window(cfg, stepper, snap, steps, theta_I + bump)
-        e_minus, _ = _replay_window(cfg, stepper, snap, steps, theta_I - bump)
+        jobs += [(theta_I + bump, None), (theta_I - bump, None)]
+    replays = fork_map(lambda job: _replay_window(cfg, stepper, snap, steps, *job), jobs)
+
+    fd = np.zeros(n)
+    for j in range(n):
+        (e_plus, _), (e_minus, _) = replays[2 + 2 * j], replays[3 + 2 * j]
         fd[j] = (e_plus - e_minus) / (2.0 * delta)
 
     report = {"phase_index": phase_index, "t_u": phase.t_u, "t_d": phase.t_d,
               "delta": delta, "fd": fd, "modes": {}}
-    for mode in (GradientMode.EXACT, GradientMode.APPROX):
-        _, grad = _replay_window(cfg, stepper, snap, steps, theta_I, sens_mode=mode)
+    for mode, (_, grad) in zip(modes, replays):
         rel = np.empty(n)
         for j in range(n):
             if abs(fd[j]) < 1e-8:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,22 @@ def left_to_right_u(result):
             u -= (K_j + th_j) * x_j
         us.append(u)
     return us
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """os.fork, patched to record the pid each fork returns to the parent."""
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks

@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 import yaml
 
-from preadaptive_control import LearnerError, ThetaSchedule, cli, default_config
+from preadaptive_control import (
+    DivergenceError,
+    LearnerError,
+    ThetaSchedule,
+    cli,
+    default_config,
+    simengine,
+)
 from preadaptive_control import run as sim_run
+
+from conftest import assert_no_child_left, counting_forks
 
 
 def scenario_path(name):
@@ -268,25 +277,6 @@ def _single_process_bytes(result, tmp_path, monkeypatch):
     return (tmp_path / "ref.csv").read_bytes()
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _counting_forks(monkeypatch):
-    """os.fork, patched to record the pid each fork returns to the parent."""
-    real_fork = os.fork
-    forks = []
-
-    def counting_fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 @pytest.mark.parametrize("which", ["ok", "diverged"])
 def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_path,
                                                      monkeypatch):
@@ -294,7 +284,7 @@ def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_p
     ref = _single_process_bytes(res, tmp_path, monkeypatch)
     assert ref.count(b"\n") == len(res.trace["t"]) + 1
     chunks = -(-len(res.trace["t"]) // cli._TRACE_CHUNK)
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     for cpus in (2, 3, chunks + 3):
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         forks.clear()
@@ -304,7 +294,7 @@ def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_p
         assert len(forks) == min(cpus, chunks) - 1
         assert (out / "trace.csv").read_bytes() == ref
         assert os.listdir(out) == ["trace.csv"]
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["child", "parent"])
@@ -323,7 +313,7 @@ def test_trace_writer_failure_reaps_children(writer_traces, failing, tmp_path,
     expected = RuntimeError if failing == "child" else OSError
     with pytest.raises(expected, match="exited with status 1|planted failure"):
         cli.write_trace_csv(writer_traces["ok"], tmp_path / "trace.csv")
-    _assert_no_child_left()
+    assert_no_child_left()
     # neither a truncated trace.csv nor a temporary file is left
     assert os.listdir(tmp_path) == []
 
@@ -403,7 +393,7 @@ def test_streamed_trace_equals_written_trace(streamed_scenarios, which, cpus, tm
                                              monkeypatch):
     scenario, res, ref = streamed_scenarios[which]
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     out = tmp_path / "o"
     code = cli.main(["run", scenario, "--out", str(out)])
     assert code == (cli.EXIT_OK if which == "learner" else cli.EXIT_DIVERGED)
@@ -413,7 +403,7 @@ def test_streamed_trace_equals_written_trace(streamed_scenarios, which, cpus, tm
     # with more CPUs than one, parts were forked while the run stepped, on
     # top of the cpus - 1 that split the rows left at its end
     assert len(forks) > cpus - 1 if cpus > 1 else forks == []
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch, capsys):
@@ -447,7 +437,7 @@ def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch,
     assert "exited with status 1" in capsys.readouterr().err
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_text() == "previous trace\n"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [cli.ConfigError, LearnerError])
@@ -456,7 +446,7 @@ def test_run_error_with_live_part_writers_keeps_its_exit(short_scenario, error, 
     out = tmp_path / "o"
     out.mkdir()
     (out / "trace.csv").write_text("previous trace\n")
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     real_run = cli.run
 
     def run(cfg, on_rows=None):
@@ -476,7 +466,7 @@ def test_run_error_with_live_part_writers_keeps_its_exit(short_scenario, error, 
     assert len(forks) == 1
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_text() == "previous trace\n"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["trace", "summary"])
@@ -617,3 +607,24 @@ def test_cmd_grad_check_missing_phase(short_scenario):
 def test_cmd_grad_check_needs_preadapt():
     code = cli.main(["grad-check", scenario_path("scenario1_rac.yaml")])
     assert code == cli.EXIT_CONFIG
+
+
+def test_cmd_grad_check_divergence_in_a_worker_exits_3(short_scenario, monkeypatch,
+                                                       capsys):
+    # jobs [exact, approx, +e0, -e0, ...] dealt over 2 processes: the -e0
+    # bump is job 3, the forked worker's
+    real_replay = simengine._replay_window
+
+    def replay(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
+        if sens_mode is None and theta_I[0] < snapshot.theta_I[0]:
+            raise DivergenceError(f"planted divergence in pid {os.getpid()}")
+        return real_replay(cfg, stepper, snapshot, steps, theta_I, sens_mode)
+
+    monkeypatch.setattr(simengine, "_replay_window", replay)
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    forks = counting_forks(monkeypatch)
+    code = cli.main(["grad-check", short_scenario, "--phase", "0"])
+    assert code == cli.EXIT_DIVERGED
+    assert len(forks) == 1
+    assert f"divergence: planted divergence in pid {forks[0]}" in capsys.readouterr().err
+    assert_no_child_left()

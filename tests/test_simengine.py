@@ -1,4 +1,6 @@
 import hashlib
+import os
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from preadaptive_control import (
     reference_derivative,
     run,
     scenario_schedule,
+    simengine,
 )
 from preadaptive_control.dynamics import rk4_step
 from preadaptive_control.simengine import (
@@ -30,9 +33,10 @@ from preadaptive_control.simengine import (
     _replay_window,
     _segment_source,
     build_controller,
+    fork_map,
 )
 
-from conftest import left_to_right_u
+from conftest import assert_no_child_left, counting_forks, left_to_right_u
 
 
 @pytest.fixture(scope="module")
@@ -573,3 +577,115 @@ def test_grad_check_report_is_pinned(learner1_result):
         -0.05882724778661809, 0.027280227778362007, 0.009784995190617561]
     assert report["modes"]["approx"]["grad"].tolist() == [
         -0.11896170722276975, 0.05508669544445263, 0.020035012120788624]
+
+
+def test_grad_check_report_does_not_depend_on_cpu_count(learner1_result, monkeypatch):
+    forks = counting_forks(monkeypatch)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
+        reports.append(repr(grad_check(learner1_result.config, 1, 1e-5,
+                                       result=learner1_result)))
+    assert reports[0] == reports[1]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+# --------------------------------------------------------------------------
+# forked map
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_equals_the_loop(cpus, monkeypatch):
+    items = list(range(7))
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
+    forks = counting_forks(monkeypatch)
+    out = fork_map(lambda x: (x, x * x, os.getpid()), items)
+    assert [o[:2] for o in out] == [(x, x * x) for x in items]
+    assert len(forks) == cpus - 1
+    # dealt round-robin: item i ran in process i % cpus, this one first
+    procs = [os.getpid(), *forks]
+    assert [o[2] for o in out] == [procs[i % cpus] for i in items]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("items", [[], [5], [5, 6]])
+def test_fork_map_with_more_cpus_than_items(items, monkeypatch):
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 4)
+    forks = counting_forks(monkeypatch)
+    assert fork_map(lambda x: -x, items) == [-x for x in items]
+    assert len(forks) == max(len(items) - 1, 0)
+    assert_no_child_left()
+
+
+def test_fork_map_without_fork_is_a_loop(monkeypatch):
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert fork_map(lambda x: (x, os.getpid()), [1, 2, 3]) == [
+        (x, os.getpid()) for x in [1, 2, 3]]
+
+
+def _fails_in_a_worker(exc):
+    """A function that returns its item in this process and raises ``exc``
+    in a forked one."""
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise exc(x)
+        return x
+    return fn
+
+
+def test_fork_map_raises_a_worker_exception_as_itself(monkeypatch, capfd):
+    def diverge(x):
+        return DivergenceError(f"planted divergence at item {x}", t=1.5, component=2)
+
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 3)
+    forks = counting_forks(monkeypatch)
+    with pytest.raises(DivergenceError) as info:
+        fork_map(_fails_in_a_worker(diverge), range(6))
+    assert str(info.value) == "planted divergence at item 1"
+    assert (info.value.t, info.value.component) == (1.5, 2)
+    # the worker printed its traceback, which does not cross the pipe
+    assert "planted divergence at item 1" in capfd.readouterr().err
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert_no_child_left()
+
+
+def test_fork_map_names_an_exception_that_does_not_pickle(monkeypatch):
+    class Local(Exception):
+        pass
+
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError) as info:
+        fork_map(_fails_in_a_worker(Local), range(2))
+    assert str(info.value) == "fork_map worker raised Local: 1"
+    assert_no_child_left()
+
+
+def test_fork_map_reports_a_worker_that_exits(monkeypatch):
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="worker exited with status 7"):
+        fork_map(_fails_in_a_worker(lambda x: os._exit(7)), range(2))
+    assert_no_child_left()
+
+
+def test_fork_map_kills_its_workers_on_an_error_here(monkeypatch):
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 3)
+    forks = counting_forks(monkeypatch)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(fn, range(3))
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 2
+    assert_no_child_left()
