@@ -6,6 +6,7 @@ error-rate estimate is fast (|edot_hat| > c_ed); a recovery event fires when
 onset, recovery, onset, ...
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,42 +44,6 @@ class AttentionState:
     events: list = field(default_factory=list)  # (t, "E_u"|"E_d")
 
 
-def _dirty_estimator(tau_f):
-    """Dirty-derivative update: low-pass-filtered finite difference of e.
-
-    Stores the new estimate in the state; ``e_prev`` is left untouched so the
-    crossing test in :func:`detect_events` can still see it.
-    """
-    def estimate(state, e, dt):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        raw = (e - state.e_prev) / dt
-        alpha = dt / tau_f
-        state.edot_hat += alpha * (raw - state.edot_hat)
-        return state.edot_hat
-    return estimate
-
-
-def _tracking_estimator(omega_n, zeta):
-    """Second-order tracking-differentiator update.
-
-    Continuous form: z1' = z2 + 2*zeta*omega_n*(e - z1), z2' = omega_n^2*(e - z1);
-    the rate output z2 has transfer omega_n^2 s / (s^2 + 2 zeta omega_n s +
-    omega_n^2) from e.  Light damping gives the transient gain above unity
-    needed to read fast onsets at the threshold crossing.
-    """
-    gain_1, gain_2 = _tracking_gains(omega_n, zeta)
-
-    def estimate(state, e, dt):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        err = e - state.e_track
-        state.e_track += dt * (state.edot_hat + gain_1 * err)
-        state.edot_hat += dt * (gain_2 * err)
-        return state.edot_hat
-    return estimate
-
-
 def _tracking_gains(omega_n, zeta):
     return 2.0 * zeta * omega_n, omega_n * omega_n
 
@@ -113,15 +78,100 @@ def require_stable_estimator(cfg, dt):
                           f"spectral radius {radius:.6g}, not below 1")
 
 
-def velocity_estimator(cfg):
-    """The configured estimator as ``f(state, e, dt)``, one update per sample.
+# --------------------------------------------------------------------------
+# the estimator update and the crossing test, written once as code text
+#
+# The lines work on locals: the new sample e, the rate estimate edot, the
+# tracking differentiator's position e_track, the sample before e_prev, the
+# phase flag in_dist and the event list events.  velocity_estimator and
+# detect_events compile them into functions over an AttentionState, and
+# simengine compiles them into the run's loop, which keeps these locals
+# between events.  An event is a flip of in_dist: EVENT_FLAGS reads the
+# (E_u, E_d, Att) flags off it, given the flag before the test, in_dist0.
 
-    A run selects it once, so the per-sample update neither dispatches on
-    ``cfg.estimator`` nor reads the settings again.
+def _literal(v):
+    return f"({float(v)!r})"  # repr round-trips every float exactly
+
+
+def estimator_code(cfg, dt):
+    """Lines of one update of ``cfg``'s rate estimator at step ``dt``, a
+    source expression; they update ``edot`` (and ``e_track``) from ``e``.
+
+    The dirty derivative low-pass filters the finite difference of e with
+    time constant tau_f; it reads ``e_prev``, which the crossing test sets
+    to e after it.  The tracking differentiator integrates z1' = z2 +
+    2*zeta*omega_n*(e - z1), z2' = omega_n^2*(e - z1) by one Euler step:
+    the rate output z2 has transfer omega_n^2 s / (s^2 + 2 zeta omega_n s +
+    omega_n^2) from e, and light damping gives the transient gain above unity
+    needed to read fast onsets at the threshold crossing.
     """
     if cfg.estimator == "dirty":
-        return _dirty_estimator(cfg.tau_f)
-    return _tracking_estimator(cfg.omega_n, cfg.zeta)
+        return [f"edot += ({dt} / {_literal(cfg.tau_f)}) * ((e - e_prev) / {dt} - edot)"]
+    gain_1, gain_2 = _tracking_gains(cfg.omega_n, cfg.zeta)
+    return ["err = e - e_track",
+            f"e_track += {dt} * (edot + {_literal(gain_1)} * err)",
+            f"edot += {dt} * ({_literal(gain_2)} * err)"]
+
+
+def detector_code(cfg, t):
+    """Lines of the crossing test of sample ``e`` at time ``t``, a source
+    expression: an onset while no phase is open, a recovery while one is;
+    each flips ``in_dist`` and appends its event.  ``e_prev`` becomes e.
+
+    The current sample is tested first, as it rules out a crossing on most
+    rows.  ``|e| >= c_e`` is ``|e| - c_e >= 0.0``: the difference of two
+    non-negative doubles is zero only when they are equal, and does not
+    overflow.
+    """
+    c_e, c_ed = _literal(cfg.c_e), _literal(cfg.c_ed)
+    return [
+        "if in_dist:",
+        f"    if abs(e) <= {c_e} and abs(e_prev) > {c_e} and abs(edot) < {c_ed}:",
+        "        in_dist = False",
+        f"        events.append(({t}, 'E_d'))",
+        f"elif abs(e) >= {c_e} and abs(e_prev) < {c_e} and abs(edot) > {c_ed}:",
+        "    in_dist = True",
+        f"    events.append(({t}, 'E_u'))",
+        "e_prev = e",
+    ]
+
+
+EVENT_FLAGS = "(0, 0, 0) if in_dist is in_dist0 else (1, 0, 1) if in_dist else (0, 1, 1)"
+
+
+def _function(name, params, lines):
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace = {}
+    exec(source, namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=32)
+def velocity_estimator(cfg):
+    """The configured estimator as ``f(state, e, dt)``, one update per sample,
+    compiled from ``estimator_code``; it stores the new estimate in the state
+    and returns it.  Compiled once per configuration, so the per-sample update
+    neither dispatches on ``cfg.estimator`` nor reads the settings again.
+    """
+    return _function("estimate", "state, e, dt", [
+        "if dt <= 0.0:",
+        "    raise ValueError('dt must be positive')",
+        "e_prev, edot, e_track = state.e_prev, state.edot_hat, state.e_track",
+        *estimator_code(cfg, "dt"),
+        "state.edot_hat, state.e_track = edot, e_track",
+        "return edot",
+    ])
+
+
+@functools.lru_cache(maxsize=32)
+def _event_detector(cfg):
+    return _function("detect", "state, e, edot, t", [
+        "e_prev, in_dist, events = state.e_prev, state.in_disturbance, state.events",
+        "in_dist0 = in_dist",
+        *detector_code(cfg, "t"),
+        "state.e_prev, state.in_disturbance = e_prev, in_dist",
+        f"return {EVENT_FLAGS}",
+    ])
 
 
 def update_velocity(cfg, state, e, dt):
@@ -133,23 +183,7 @@ def detect_events(cfg, state, e, edot_hat, t):
     """Evaluate the crossing predicates at the current sample.
 
     Returns (E_u, E_d, Att) as 0/1 flags and advances the detector state
-    (phase flag, event list, previous sample).
+    (phase flag, event list, previous sample); compiled from
+    ``detector_code`` once per configuration.
     """
-    prev_margin = abs(state.e_prev) - cfg.c_e
-    margin = abs(e) - cfg.c_e
-
-    e_u = 0
-    e_d = 0
-    if not state.in_disturbance:
-        if prev_margin < 0.0 and margin >= 0.0 and abs(edot_hat) > cfg.c_ed:
-            e_u = 1
-            state.in_disturbance = True
-            state.events.append((t, "E_u"))
-    else:
-        if prev_margin > 0.0 and margin <= 0.0 and abs(edot_hat) < cfg.c_ed:
-            e_d = 1
-            state.in_disturbance = False
-            state.events.append((t, "E_d"))
-
-    state.e_prev = e
-    return e_u, e_d, (e_u | e_d)
+    return _event_detector(cfg)(state, e, edot_hat, t)

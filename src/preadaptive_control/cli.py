@@ -295,29 +295,36 @@ def _write_chunks(f, trace, lo, hi):
     """Format trace rows [lo, hi) to f, a chunk of rows at a time.
 
     theta is constant over a schedule piece: its text is formatted once per
-    piece and spliced into the piece's row format.  '%.17g' gives the same
-    text as _fmt; the event flags are ints.
+    piece and spliced into the piece's row format.  So is x_r's once the
+    reference has settled, in each chunk where every row holds the same x_r.
+    '%.17g' gives the same text as _fmt; the event flags are ints.
     """
-    columns = [trace[key] for key in
-               ("t", "x", "x_r", "e", "edot_hat", "theta_hat", "u", "Eu", "Ed")]
-    theta = trace["theta"]
+    keys = ("t", "x", "x_r", "e", "edot_hat", "theta_hat", "u", "Eu", "Ed")
+    columns = [trace[key] for key in keys]
+    moving = [trace[key] for key in keys if key != "x_r"]
+    theta, x_r = trace["theta"], trace["x_r"]
     n = theta.shape[1]
-    # theta compared bit for bit: -0.0 and NaN format apart from 0.0 and
-    # from each other
-    bits = theta.view(np.int64)
-    piece = None
+    # compared bit for bit: -0.0 and NaN format apart from 0.0 and from each
+    # other
+    bits, xr_bits = theta.view(np.int64), x_r.view(np.int64)
+    spliced = None      # the theta and x_r bits of the current row format
     for c in range(lo, hi, _TRACE_CHUNK):
         d = min(c + _TRACE_CHUNK, hi)
-        block = np.column_stack([col[c:d] for col in columns])
+        settled = bool((xr_bits[c:d] == xr_bits[c]).all())
+        block = np.column_stack([col[c:d] for col in (moving if settled else columns)])
         width = block.shape[1]
         values = block.ravel().tolist()
         # the chunk's rows whose theta differs from the row before
         changes = np.flatnonzero((bits[c + 1:d] != bits[c:d - 1]).any(axis=1)) + 1
         runs = [0, *changes.tolist(), d - c]
         for a, b in zip(runs, runs[1:]):
-            if piece != bits[c + a].tobytes():
-                piece = bits[c + a].tobytes()
-                row_fmt = ("%.17g," * (3 + 2 * n)
+            key = (bits[c + a].tobytes(), settled and xr_bits[c].tobytes())
+            if spliced != key:
+                spliced = key
+                xr_fmt = "%.17g," * n
+                if settled:
+                    xr_fmt %= tuple(x_r[c].tolist())
+                row_fmt = ("%.17g," * (1 + n) + xr_fmt + "%.17g," * 2
                            + ("%.17g," * n) % tuple(theta[c + a].tolist())
                            + "%.17g," * (n + 1) + "%d,%d\n")
                 rows_fmt = row_fmt * _FORMAT_ROWS

@@ -14,15 +14,20 @@ import numbers
 import os
 import pickle
 import signal
+import struct
 import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .attention import (  # update_velocity: the per-layer tracer wraps it here
+    EVENT_FLAGS,
     AttentionConfig,
     AttentionState,
+    _literal,
     detect_events,
+    detector_code,
+    estimator_code,
     require_stable_estimator,
     update_velocity,
     velocity_estimator,
@@ -235,10 +240,6 @@ def default_config(scenario=1, preadapt=None, **overrides):
 # another component.
 
 
-def _literal(v):
-    return f"({float(v)!r})"  # repr round-trips every float exactly
-
-
 def _sum(head, terms):
     """Source of ``head op1 c1 * v1 op2 c2 * v2 ...``, summed left to right.
 
@@ -388,24 +389,69 @@ def _rk4_code(st, with_sens, exact_sens):
     return lines, out
 
 
-def _segment_source(st, with_sens, exact_sens):
+def _reference_targets(n):
+    """The locals ``_rk4_code``'s lines assign for x_r alone: its stage
+    states and its slopes, which depend on nothing but x_r."""
+    R = range(n)
+    return ({f"xr{j}_{stage}" for j in R for stage in (2, 3, 4)}
+            | {f"k{stage}_{n + j}" for j in R for stage in (1, 2, 3, 4)})
+
+
+def _target(line):
+    return line.split(" = ", 1)[0]
+
+
+def _reference_rest_source(st):
+    """Source of ``rest(xr)``: x_r's RK4 step alone, from ``_rk4_code``'s
+    lines for x_r.  Returns the new x_r and x_r's stage-2..4 values."""
+    n = st.n
+    lines, out = _rk4_code(st, False, False)
+    targets = _reference_targets(n)
+    xr = _state_names(n, False, "_1")[n:2 * n]
+    stages = [f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)]
+    body = ([_unpack(xr, "xr")] + [line for line in lines if _target(line) in targets]
+            + [f"return [{', '.join(out[n:2 * n])}], [{', '.join(stages)}]"])
+    return "def rest(xr):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     """Source of ``segment(...)``: ``run``'s loop over the steps between two
     returns to Python, with ``_rk4_code``'s step inlined.
 
     It enters at row k, whose events ``run`` has handled, and for each row
     does the row's bookkeeping (a phase's peak |e| and cost, the learner's
-    accumulation), the RK4 step with the trace row buffered before the state
-    moves, the guard, then e, the rate estimate and the event flags of row
-    k + 1.  It returns on an event, at row ``stop``, when row k reaches
-    ``next_start``'s schedule piece, or on divergence, with
-    ``(error, k, e, edot, flags, peak, E, y)``; after a divergence, k is the
-    row the failed step started from and ``y`` the state that step made.
+    accumulation), the RK4 step, the guard, then e of row k + 1.  It returns
+    at row ``stop``, when row k reaches ``next_start``'s schedule piece, or
+    on divergence, with ``(error, k, e, edot, flags, peak, E, y)``; after a
+    divergence, k is the row the failed step started from and ``y`` the
+    state that step made.
+
+    ``live``: the run's loop.  It buffers each trace row before the state
+    moves, then updates the rate estimate and runs the crossing test of row
+    k + 1 from attention's code text, and returns on an event too.  It keeps
+    the detector state in locals and writes it back to ``att`` on every
+    return.  Otherwise the loop is frozen, for a replay or ``_Stepper.step``:
+    no trace row, no rate estimate (``edot`` stays) and no event.
+
+    ``settled``: x_r is a bit-exact fixed point of its RK4 step, so its four
+    stage values are constants; stages 2-4 come in ``xr_stages``, in
+    ``_reference_rest_source``'s order.  The loop leaves out x_r's stage
+    states, slopes and update, and its squares in the guard, which the same
+    values passed on an earlier row.
     """
     n, iy = st.n, st.iy
     lines, out = _rk4_code(st, with_sens, exact_sens)
     y = _state_names(n, with_sens, "_1")
+    moving = list(zip(y, out))
     dt = _literal(st.dt)
     state = "[" + ", ".join(y) + "]"
+    head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta")]
+    if settled:
+        targets = _reference_targets(n)
+        lines = [line for line in lines if _target(line) not in targets]
+        moving = moving[:n] + moving[2 * n:]
+        head.append(_unpack([f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)],
+                            "xr_stages"))
     book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
     if with_sens:  # a phase is always open while the learner runs
         book.append("accumulate_cost(sens, e, ("
@@ -413,32 +459,42 @@ def _segment_source(st, with_sens, exact_sens):
                     + f"), {dt})")
     else:
         book = ["if tracking:"] + [f"    {line}" for line in book]
-    # the trace row takes the control stage 1 applied; each new component
-    # depends only on its own old one and the slopes, so the state is then
-    # updated in place
-    loop = (book + lines + [f"rows += ({', '.join(y[:3 * n])}, e, edot, u_1)"]
-            + [f"{v} = {expr}" for v, expr in zip(y, out)] + [
+    flags = "(0, 0, 0)"
+    save = []
+    if live:
+        head += ["e_prev, e_track, in_dist, events = "
+                 "att.e_prev, att.e_track, att.in_disturbance, att.events",
+                 "in_dist0 = in_dist"]
+        flags = EVENT_FLAGS
+        save = ["att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = "
+                "e_prev, edot, e_track, in_dist"]
+        # the trace row takes the control stage 1 applied
+        lines = lines + [f"rows += ({', '.join(y[:3 * n])}, e, edot, u_1)"]
+    # each new component depends only on its own old one and the slopes, so
+    # the state is updated in place
+    loop = (book + lines + [f"{v} = {expr}" for v, expr in moving] + [
         # squares: no call per component; an overflow only sends the row to
         # the exact check
-        f"if not {' + '.join(f'{v} * {v}' for v in y)} <= {_literal(DIVERGENCE_LIMIT ** 2)}:",
+        f"if not {' + '.join(f'{v} * {v}' for v, _ in moving)} <= "
+        f"{_literal(DIVERGENCE_LIMIT ** 2)}:",
         "    try:",
         f"        check_bounded({state}, k * {dt} + {dt}, {3 * n})",
         "    except DivergenceError as exc:",
+        *(f"        {line}" for line in save),
         f"        return exc, k, e, edot, None, peak, E, {state}",
-    ] + [
         "k += 1",
         f"e = x{iy}_1 - xr{iy}_1",
-        f"edot = estimate(att, e, {dt})",
-        f"flags = detect_events(att_cfg, att, e, edot, k * {dt})",
-        f"if flags[2] or k == stop or next_start <= k * {dt}:",
-        f"    return None, k, e, edot, flags, peak, E, {state}",
     ])
-    head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta"),
-            "while True:"]
+    ends = f"k == stop or next_start <= k * {dt}"
+    if live:
+        loop += estimator_code(st.attention, dt) + detector_code(st.attention, f"k * {dt}")
+        # an event flips in_dist, and in_dist0 is its value at entry
+        ends = "in_dist is not in_dist0 or " + ends
+    loop += [f"if {ends}:", *(f"    {line}" for line in save),
+             f"    return None, k, e, edot, ({flags}), peak, E, {state}"]
     return ("def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking,"
-            " rows, att, att_cfg, estimate, detect_events, sens, accumulate_cost,"
-            " check_bounded):\n"
-            + "".join(f"    {line}\n" for line in head)
+            " rows, att, sens, xr_stages, accumulate_cost, check_bounded):\n"
+            + "".join(f"    {line}\n" for line in head + ["while True:"])
             + "".join(f"        {line}\n" for line in loop))
 
 
@@ -468,7 +524,9 @@ class _Stepper:
         self.PB = (ctrl.P @ cfg.plant.B).tolist()
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
-        self._segments = {}      # compiled on first use, per (with_sens, exact_sens)
+        self.attention = cfg.attention
+        self._segments = {}      # compiled on first use, per _segment_source's flags
+        self._rest = None        # compiled on first use
 
     def derivative(self, with_sens, exact_sens):
         """The compiled ``f(y, theta)`` the step integrates."""
@@ -479,18 +537,28 @@ class _Stepper:
         y = _unpack(_state_names(self.n, False, ""), f"y[:{3 * self.n}]")
         return _compile(f"def u(y):\n    {y}\n    return {_control_code(self, '')}\n", "u")
 
-    def segment(self, with_sens, exact_sens):
+    def segment(self, with_sens, exact_sens, live, settled):
         """The compiled ``segment`` of ``run``'s loop (``_segment_source``)."""
-        key = (with_sens, exact_sens)
+        key = (with_sens, exact_sens, live, settled)
         fn = self._segments.get(key)
         if fn is None:
             fn = self._segments[key] = _compile(_segment_source(self, *key), "segment")
         return fn
 
+    def reference_rest(self, xr):
+        """x_r's RK4 stage-2..4 values, for a settled ``segment``, if the
+        reference state ``xr`` is a bit-exact fixed point of its RK4 step,
+        else None.  The reference model is autonomous, so a fixed point
+        stays one."""
+        if self._rest is None:
+            self._rest = _compile(_reference_rest_source(self), "rest")
+        new, stages = self._rest(xr)
+        return stages if _bits(new) == _bits(xr) else None
+
     def step(self, y, theta, with_sens=False, exact_sens=False, k=0):
         """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
-        sensitivities when ``with_sens``) from row ``k``: one row of
-        ``segment`` with events frozen.  Returns the new state as a list.
+        sensitivities when ``with_sens``) from row ``k``: one row of the
+        frozen ``segment``.  Returns the new state as a list.
 
         Every component must stay finite and the 3n plant, reference and
         estimate states within DIVERGENCE_LIMIT, else DivergenceError at the
@@ -498,24 +566,19 @@ class _Stepper:
         """
         sens = SensitivityState(n=self.n)
         sens.activate(None)
-        exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens)(
+        exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens, False, False)(
             y, [float(v) for v in theta], k, k + 1, math.inf, 0.0, 0.0, 0.0, 0.0,
-            False, [], None, None, _frozen_rate, _frozen_events, sens,
-            accumulate_cost, check_bounded,
+            False, None, None, sens, None, accumulate_cost, check_bounded,
         )
         if exc is not None:
             raise exc
         return out
 
 
-def _frozen_rate(att, e, dt):
-    """Rate estimate of a frozen window, whose events are not re-detected."""
-    return 0.0
-
-
-def _frozen_events(att_cfg, att, e, edot, t):
-    """Event flags of a frozen window: never an event."""
-    return 0, 0, 0
+def _bits(values):
+    """The bytes of a list of floats: equal lists of bits, -0.0 and NaNs told
+    apart."""
+    return struct.pack(f"{len(values)}d", *values)
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +652,7 @@ def _write_rows(trace, rows, start, pieces, n):
     """Write the buffered rows (x, x_r, theta_hat, e, edot_hat, u each) from
     row ``start`` on, with their true parameter; returns the next row to
     write."""
-    block = np.array(rows).reshape(-1, 3 * n + 3)
+    block = np.frombuffer(_bits(rows)).reshape(-1, 3 * n + 3)
     stop = start + block.shape[0]
     hi = stop
     for first, theta in reversed(pieces):   # (first row, theta) of each piece
@@ -629,7 +692,6 @@ def run(cfg, on_rows=None):
     N = cfg.num_steps
     schedule = cfg.schedule
     att_cfg = cfg.attention
-    estimate = velocity_estimator(att_cfg)
 
     net = None
     if cfg.preadapt.enabled:
@@ -659,6 +721,7 @@ def run(cfg, on_rows=None):
     }
     rows = []           # the rows not yet written to the trace, flat
     written = 0
+    xr_stages = None    # x_r's stage values once it is at its fixed point
     pieces = []         # (first step, theta) of each schedule piece reached
     next_start = -math.inf   # theta_at runs again once t reaches this
 
@@ -671,7 +734,7 @@ def run(cfg, on_rows=None):
 
     k = 0
     e = y[iy] - y[n + iy]
-    edot = estimate(att, e, dt)
+    edot = velocity_estimator(att_cfg)(att, e, dt)
     flags = detect_events(att_cfg, att, e, edot, 0.0)
     while True:
         t = k * dt
@@ -733,13 +796,16 @@ def run(cfg, on_rows=None):
             written = _write_rows(trace, rows, written, pieces, n)
             if on_rows is not None:
                 on_rows(trace, written)
-        segment = stepper.segment(sens.active, exact_sens)
+        # row 0's x_r is the configured x0, which no guard has checked yet
+        if xr_stages is None and k > 0:
+            xr_stages = stepper.reference_rest(y[n:2 * n])
+        segment = stepper.segment(sens.active, exact_sens, True, xr_stages is not None)
         peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
                    else (0.0, 0.0))
         exc, k, e, edot, flags, peak, E, y = segment(
             y, theta_floats, k, min(written + _TRACE_CHUNK, N), next_start, e, edot,
-            peak, E, tracking, rows, att, att_cfg, estimate, detect_events,
-            sens, accumulate_cost, check_bounded,
+            peak, E, tracking, rows, att, sens, xr_stages, accumulate_cost,
+            check_bounded,
         )
         if tracking:
             open_phase.peak_abs_e, open_phase.E_phase = peak, E
@@ -791,6 +857,21 @@ def phases_by_jump(result):
     return by_jump
 
 
+def _require_comparable(config_a, config_b):
+    """ConfigError unless two runs share their schedule, dt and horizon."""
+    sched_a, sched_b = config_a.schedule, config_b.schedule
+    if (
+        len(sched_a.pieces) != len(sched_b.pieces)
+        or any(
+            ta != tb or not np.array_equal(va, vb)
+            for (ta, va), (tb, vb) in zip(sched_a.pieces, sched_b.pieces)
+        )
+        or sched_a.horizon != sched_b.horizon
+        or config_a.dt != config_b.dt
+    ):
+        raise ConfigError("compared runs must share schedule, dt, and horizon")
+
+
 def compare_results(res_a, res_b):
     """Match phases across two runs by the schedule jump they respond to.
 
@@ -800,18 +881,8 @@ def compare_results(res_a, res_b):
     for name, res in (("first", res_a), ("second", res_b)):
         if res.status == "diverged":
             raise DivergenceError(f"the {name} compared run diverged: {res.error}")
+    _require_comparable(res_a.config, res_b.config)
     sched_a = res_a.config.schedule
-    sched_b = res_b.config.schedule
-    if (
-        len(sched_a.pieces) != len(sched_b.pieces)
-        or any(
-            ta != tb or not np.array_equal(va, vb)
-            for (ta, va), (tb, vb) in zip(sched_a.pieces, sched_b.pieces)
-        )
-        or sched_a.horizon != sched_b.horizon
-        or res_a.config.dt != res_b.config.dt
-    ):
-        raise ConfigError("compared runs must share schedule, dt, and horizon")
 
     by_jump_a = phases_by_jump(res_a)
     by_jump_b = phases_by_jump(res_b)
@@ -833,7 +904,9 @@ def compare_results(res_a, res_b):
 
 
 def compare(config_a, config_b):
-    """Run both configurations and return (result_a, result_b, matched rows)."""
+    """Run both configurations and return (result_a, result_b, matched rows);
+    configurations that cannot be compared are refused before either runs."""
+    _require_comparable(config_a, config_b)
     res_a = run(config_a)
     res_b = run(config_b)
     return res_a, res_b, compare_results(res_a, res_b)
@@ -953,37 +1026,38 @@ def fork_map(fn, items):
 def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
     """Re-simulate a frozen phase window from its onset snapshot.
 
-    The window's rows run through ``run``'s compiled segment with events
-    frozen: no rate estimate, no event detection and no reinitialization;
-    the window starts with theta_hat = theta_I.  Returns (E, dE_dthI or None).
+    The window's rows run through ``run``'s compiled segment, frozen: no
+    rate estimate, no event detection and no reinitialization; the window
+    starts with theta_hat = theta_I.  Returns (E, dE_dthI or None).
     """
     n = cfg.plant.n
     iy = cfg.plant.iy
     dt = cfg.dt
     with_sens = sens_mode is not None
-    segment = stepper.segment(with_sens, sens_mode == GradientMode.EXACT)
+    exact_sens = sens_mode == GradientMode.EXACT
 
     y = snapshot.x.tolist() + snapshot.x_r.tolist() + [float(v) for v in theta_I]
     if with_sens:
         y += _sensitivity_start(n)
     sens = SensitivityState(n=n)
     sens.activate(snapshot)
-    rows = []           # the segment buffers trace rows; a replay drops them
     k, stop = snapshot.step, snapshot.step + steps
     e, E = y[iy] - y[n + iy], 0.0
     next_start = -math.inf
+    xr_stages = None
     while k < stop:
         if next_start <= k * dt:
             theta = theta_at(cfg.schedule, k * dt).tolist()
             next_start = _next_piece_start(cfg.schedule, k * dt)
+        if xr_stages is None:
+            xr_stages = stepper.reference_rest(y[n:2 * n])
+        segment = stepper.segment(with_sens, exact_sens, False, xr_stages is not None)
         exc, k, e, _, _, _, E, y = segment(
             y, theta, k, min(k + _TRACE_CHUNK, stop), next_start, e, 0.0, 0.0, E,
-            True, rows, None, None, _frozen_rate, _frozen_events, sens,
-            accumulate_cost, check_bounded,
+            True, None, None, sens, xr_stages, accumulate_cost, check_bounded,
         )
         if exc is not None:
             raise exc
-        rows.clear()
     return E, sens.dE_dthI if with_sens else None
 
 

@@ -344,17 +344,43 @@ def test_write_chunks_formats_each_value_like_fmt(tmp_path):
              "theta_hat": rng.normal(size=(rows, n)), "u": rng.normal(size=rows),
              "Eu": (np.arange(rows) % 7 == 0).astype(np.int8),
              "Ed": (np.arange(rows) % 11 == 0).astype(np.int8)}
+    _assert_chunks_like_fmt(trace, ((0, rows), (99, 301), (300, 300)), tmp_path)
+
+
+def _assert_chunks_like_fmt(trace, spans, tmp_path):
+    """_write_chunks of each (lo, hi) span gives _fmt's text of each value."""
     lines = []
-    for k in range(rows):
+    for k in range(len(trace["t"])):
         values = [trace["t"][k], *trace["x"][k], *trace["x_r"][k], trace["e"][k],
-                  trace["edot_hat"][k], *theta[k], *trace["theta_hat"][k],
+                  trace["edot_hat"][k], *trace["theta"][k], *trace["theta_hat"][k],
                   trace["u"][k]]
         lines.append(",".join([*map(cli._fmt, values), str(trace["Eu"][k]),
                                str(trace["Ed"][k])]) + "\n")
-    for lo, hi in ((0, rows), (99, 301), (300, 300)):
+    for lo, hi in spans:
         with open(tmp_path / "part.csv", "w") as f:
             cli._write_chunks(f, trace, lo, hi)
         assert (tmp_path / "part.csv").read_text() == "".join(lines[lo:hi])
+
+
+def test_write_chunks_splices_a_settled_x_r(tmp_path):
+    # x_r's text is spliced into the row format in each chunk whose rows all
+    # hold the same x_r bits; it settles inside a chunk, then moves to -0.0
+    # and NaN values that compare alike with or unlike the ones before
+    rows, n = 1100, 2
+    rng = np.random.default_rng(1)
+    x_r = rng.normal(size=(rows, n))
+    x_r[300:600] = [0.0, -0.0]
+    x_r[600:900] = [-0.0, 0.0]
+    x_r[900:] = [np.nan, 1e300]
+    theta = np.zeros((rows, n))
+    theta[700:] = [0.5, -0.0]
+    trace = {"t": np.arange(rows) * 1e-3, "x": rng.normal(size=(rows, n)), "x_r": x_r,
+             "e": rng.normal(size=rows), "edot_hat": rng.normal(size=rows),
+             "theta": theta, "theta_hat": rng.normal(size=(rows, n)),
+             "u": rng.normal(size=rows), "Eu": np.zeros(rows, dtype=np.int8),
+             "Ed": np.zeros(rows, dtype=np.int8)}
+    _assert_chunks_like_fmt(trace, ((0, rows), (44, 1100), (300, 556), (600, 601)),
+                            tmp_path)
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +593,19 @@ def test_cmd_compare_identity(short_scenario, tmp_path, capsys):
 
 
 def test_cmd_compare_schedule_mismatch(short_scenario, tmp_path):
+    code = cli.main([
+        "compare", short_scenario, scenario_path("scenario1_rac.yaml"),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_cmd_compare_mismatch_exits_before_running(short_scenario, tmp_path,
+                                                  monkeypatch):
+    def no_run(cfg, on_rows=None):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(simengine, "run", no_run)
     code = cli.main([
         "compare", short_scenario, scenario_path("scenario1_rac.yaml"),
         "--out", str(tmp_path / "o"),

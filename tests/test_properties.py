@@ -1,22 +1,34 @@
-"""Property tests of the run loop's event bookkeeping on random schedules.
+"""Property tests of the run loop's event bookkeeping on random schedules
+and random plants.
 
 The compiled run loop returns to Python at events, schedule pieces and
 256-row trace chunks; jumps are drawn both anywhere on the dt grid and on
 chunk boundaries, so these edges meet in every combination.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from preadaptive_control import (
+    AttentionConfig,
+    AttentionState,
+    ConfigError,
+    DivergenceError,
     GradientMode,
+    PlantConfig,
     PreadaptSettings,
+    RunConfig,
+    SolverError,
     ThetaSchedule,
     default_config,
+    detect_events,
     run,
     theta_at,
 )
+from preadaptive_control.attention import velocity_estimator
 from preadaptive_control.simengine import _Stepper, build_controller
 
 from conftest import left_to_right_u
@@ -132,3 +144,134 @@ def test_event_bookkeeping_on_random_schedules(schedule, pre):
 def _phase_rows(res):
     return [(p.step_u, p.step_d, p.t_u, p.t_d, p.peak_abs_e, p.E_phase, p.jump_ref)
             for p in res.phases]
+
+
+# --------------------------------------------------------------------------
+# the run against a row loop over the step and the attention functions
+
+#: plant entries: the literals the generator strength-reduces, and others
+entries = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def rac_configs(draw):
+    """RAC runs of controllable 2-4-state plants, with grid schedules, drawn
+    thresholds and either estimator, starting at rest or at the reference's
+    rest point."""
+    n = draw(st.integers(2, 4))
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    B = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    B1r = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    try:
+        plant = PlantConfig(A=A, B=B, B1r=B1r, output_index=draw(st.integers(1, n)))
+    except ConfigError:     # not controllable
+        assume(False)
+    theta = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    steps = draw(st.integers(2000, 6000))
+    jumps = sorted(set(draw(st.lists(st.integers(1, steps - 1), max_size=3))))
+    pieces = [(0.0, draw(st.one_of(st.just([0.0] * n), theta)))]
+    pieces += [(k * DT, draw(theta)) for k in jumps]
+    if draw(st.booleans()):
+        attention = AttentionConfig(estimator="dirty", tau_f=draw(st.floats(0.01, 0.2)))
+    else:
+        attention = AttentionConfig(omega_n=draw(st.floats(2.0, 30.0)),
+                                    zeta=draw(st.floats(0.1, 1.0)))
+    try:
+        cfg = RunConfig(plant=plant,
+                        schedule=ThetaSchedule(pieces=pieces, horizon=steps * DT),
+                        attention=attention, preadapt=PreadaptSettings(),
+                        gamma=draw(st.floats(10.0, 200.0)), dt=DT)
+        ctrl, ref = build_controller(cfg)
+    except (ConfigError, SolverError):
+        assume(False)
+    if draw(st.booleans()):
+        # the reference's rest point, iterated towards a fixed point of its
+        # RK4 step, so that the run's reference may settle from its first rows
+        xr = np.linalg.solve(ref.Ar, -(ref.B1r + ref.B2r) * cfg.r).tolist()
+        stepper = _Stepper(cfg, ctrl, ref)
+        for _ in range(200):
+            xr = stepper.step(xr + xr + [0.0] * n, [0.0] * n)[n:2 * n]
+        cfg = replace(cfg, x0=np.array(xr))
+    # thresholds drawn as fractions of the run's largest |e| and rate
+    # estimate, which the thresholds do not move in a RAC run, so that
+    # errors cross them both ways
+    trace = run(cfg).trace
+    e_max, edot_max = np.max(np.abs(trace["e"])), np.max(np.abs(trace["edot_hat"]))
+    assume(np.isfinite(e_max) and e_max > 0.0 and edot_max > 0.0)
+    return replace(cfg, attention=replace(
+        attention, c_e=e_max * draw(st.floats(0.05, 0.8)),
+        c_ed=edot_max * draw(st.floats(0.01, 0.8))))
+
+
+def _row_loop(cfg):
+    """Trace columns, events, phases and error of ``cfg``'s RAC run, one row
+    at a time through _Stepper.step and the compiled estimator and detector."""
+    stepper = _Stepper(cfg, *build_controller(cfg))
+    control = stepper.control()
+    estimate = velocity_estimator(cfg.attention)
+    n, iy, dt, N = cfg.plant.n, cfg.plant.iy, cfg.dt, cfg.num_steps
+    att = AttentionState()
+    y = cfg.x0.tolist() + cfg.x0.tolist() + cfg.theta_hat0.tolist()
+    att.e_prev = att.e_track = y[iy] - y[n + iy]
+    cols = {key: [] for key in ("x", "x_r", "theta_hat", "e", "edot_hat", "theta", "u",
+                                "Eu", "Ed")}
+    error = None
+    for k in range(N + 1):
+        e = y[iy] - y[n + iy]
+        edot = estimate(att, e, dt)
+        e_u, e_d, _ = detect_events(cfg.attention, att, e, edot, k * dt)
+        theta = theta_at(cfg.schedule, k * dt)
+        for key, value in (("x", y[:n]), ("x_r", y[n:2 * n]), ("theta_hat", y[2 * n:]),
+                           ("e", e), ("edot_hat", edot), ("theta", theta),
+                           ("u", control(y)), ("Eu", e_u), ("Ed", e_d)):
+            cols[key].append(value)
+        if k == N:
+            break
+        try:
+            y = stepper.step(y, theta, False, False, k)
+        except DivergenceError as exc:
+            error = str(exc)
+            break
+    # a phase's peak |e| runs from its onset row to its recovery row, or to
+    # the last row; its cost sums |e| dt over the rows a step started from
+    rows = len(cols["e"])
+    last_step = rows if error else rows - 1
+    phases = []
+    onsets = [k for k in range(rows) if cols["Eu"][k]]
+    for k_u in onsets:
+        k_d = next((k for k in range(k_u, rows) if cols["Ed"][k]), None)
+        E = 0.0
+        for k in range(k_u, last_step if k_d is None else k_d):
+            E += abs(cols["e"][k]) * dt
+        t_u = k_u * dt
+        phases.append((k_u, k_d, t_u, None if k_d is None else k_d * dt,
+                       max(map(abs, cols["e"][k_u:rows if k_d is None else k_d + 1])),
+                       E, k_d is not None,
+                       max((tj for tj in cfg.schedule.jump_times if tj <= t_u),
+                           default=None)))
+    return cols, att.events, phases, error
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=rac_configs())
+def test_rac_run_equals_a_row_loop_on_random_plants(cfg):
+    res = run(cfg)
+    target(float(len(res.events)))   # steer the search towards closed phases
+    cols, events, phases, error = _row_loop(cfg)
+    for key, col in cols.items():
+        assert np.array_equal(res.trace[key], np.array(col, dtype=res.trace[key].dtype))
+    assert np.array_equal(res.trace["t"], np.arange(len(cols["e"])) * cfg.dt)
+    assert res.events == events
+    assert res.error == error
+    assert res.status == ("diverged" if error else "ok")
+    assert [(p.step_u, p.step_d, p.t_u, p.t_d, p.peak_abs_e, p.E_phase, p.recovered,
+             p.jump_ref) for p in res.phases] == phases
+
+    kinds = [kind for _, kind in res.events]
+    assert kinds == ["E_u", "E_d"] * (len(kinds) // 2) + ["E_u"] * (len(kinds) % 2)
+
+    again = run(cfg)
+    for key in res.trace:
+        assert np.array_equal(res.trace[key], again.trace[key])
+    assert again.events == res.events
+    assert _phase_rows(again) == _phase_rows(res)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import os
 import time
 
@@ -15,6 +16,7 @@ from preadaptive_control import (
     RunConfig,
     ThetaSchedule,
     adaptation_derivative,
+    cli,
     control_input,
     compare_results,
     default_config,
@@ -295,6 +297,78 @@ def test_run_determinism():
 
 def test_reference_trajectory_independent_of_variant(rac1_result, learner1_result):
     assert np.array_equal(rac1_result.trace["x_r"], learner1_result.trace["x_r"])
+
+
+# --------------------------------------------------------------------------
+# the settled reference: x_r at a bit-exact fixed point of its RK4 step
+
+def test_reference_settles_at_row_45045(rac1_result, stepper):
+    # the finder returns x_r's stage-2..4 values, computed here from the
+    # compiled derivative, from the row on which x_r stops moving
+    xr = rac1_result.trace["x_r"]
+    assert stepper.reference_rest(xr[45044].tolist()) is None
+    assert not np.array_equal(xr[45044], xr[45045])
+    assert (xr[45045:].view(np.int64) == xr[45045].view(np.int64)).all()
+    f = stepper.derivative(False, False)
+
+    def slope(v):
+        return f([0.0] * 3 + v + [0.0] * 3, [0.0] * 3)[3:6]
+
+    rest, h = xr[45045].tolist(), 0.5 * stepper.dt
+    s2 = [a + h * b for a, b in zip(rest, slope(rest))]
+    s3 = [a + h * b for a, b in zip(rest, slope(s2))]
+    s4 = [a + stepper.dt * b for a, b in zip(rest, slope(s3))]
+    assert stepper.reference_rest(rest) == s2 + s3 + s4
+
+
+def test_run_that_never_settles_is_the_head_of_one_that_does(learner1_result):
+    # 40 s end before x_r settles at row 45,045; the 60-s run steps its last
+    # 14,955 rows with the settled loop
+    pre = learner1_result.config.preadapt
+    sched = learner1_result.config.schedule
+    short = run(default_config(1, preadapt=pre, schedule=ThetaSchedule(
+        pieces=sched.pieces[:3], horizon=40.0)))
+    for key, column in short.trace.items():
+        assert np.array_equal(column, learner1_result.trace[key][:40001])
+    assert short.events == [ev for ev in learner1_result.events if ev[0] <= 40.0]
+    closed = [p for p in short.phases if p.recovered]
+    assert len(closed) == len(short.phases) == 2
+    assert repr(short.phases) == repr(learner1_result.phases[:2])
+    assert repr(short.phase_reports) == repr(learner1_result.phase_reports[:2])
+
+
+@pytest.mark.parametrize("name", ["scenario2_learner.yaml", "scenario3_learner.yaml"])
+def test_settled_reference_leaves_runs_and_replays_unchanged(name, monkeypatch):
+    # the phases that open after t = 45 s replay through the settled loop;
+    # with the finder made never to settle, the run and the grad-check
+    # reports of those phases are the same
+    cfg = cli.load_scenario(
+        str(importlib.resources.files("preadaptive_control") / "scenarios" / name))
+    real_rest = simengine._Stepper.reference_rest
+    found = []
+
+    def spy(self, xr):
+        stages = real_rest(self, xr)
+        found.append(stages is not None)
+        return stages
+
+    def results():
+        res = run(cfg)
+        closed = [p for p in res.phases if p.recovered and p.snapshot is not None]
+        late = [i for i, p in enumerate(closed) if p.t_u > 45.0]
+        assert late
+        return res, [repr(grad_check(cfg, i, 1e-5, result=res)) for i in late]
+
+    monkeypatch.setattr(simengine._Stepper, "reference_rest", spy)
+    settled, reports = results()
+    assert any(found)
+    monkeypatch.setattr(simengine._Stepper, "reference_rest", lambda self, xr: None)
+    unsettled, unsettled_reports = results()
+    for key, column in settled.trace.items():
+        assert np.array_equal(column, unsettled.trace[key])
+    assert repr(settled.phases) == repr(unsettled.phases)
+    assert repr(settled.phase_reports) == repr(unsettled.phase_reports)
+    assert unsettled_reports == reports
 
 
 def test_divergence_truncates_trace_and_reports():
