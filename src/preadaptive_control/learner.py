@@ -11,6 +11,7 @@ the recovery event the gradient is backpropagated through the network and the
 weights are updated from their onset-time snapshot.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,21 +106,45 @@ class SensitivityState:
         self.snapshot = None
 
 
+def gradient_code(row, dt):
+    """Lines of one left-rectangle step of dE/dtheta_I, written once as code
+    text: ``dE{c} += sign(e) * row[c] * dt`` for each source expression in
+    ``row`` (the output's row of S_e), over the locals ``e`` and ``dE0,
+    dE1, ...``; sign(0) counts as 0.  ``dt`` is a source expression.
+
+    accumulate_cost and simengine's sensitivity loop both compile them.
+    Adding ``-1.0 * s * dt`` is subtracting ``s * dt``: a sign flip is exact.
+    """
+    if not row:
+        return []
+    return (["if e > 0.0:"] + [f"    dE{c} += {s} * {dt}" for c, s in enumerate(row)]
+            + ["elif e != 0.0:"] + [f"    dE{c} -= {s} * {dt}" for c, s in enumerate(row)])
+
+
+@functools.lru_cache(maxsize=8)
+def _gradient_step(n):
+    """``gradient_code`` over a row of ``n`` floats, compiled as ``step(e,
+    dt, dE0, ..., s0, ...)``; returns the new gradient as a list."""
+    dE, row = [f"dE{c}" for c in range(n)], [f"s{c}" for c in range(n)]
+    lines = gradient_code(row, "dt") + [f"return [{', '.join(dE)}]"]
+    namespace = {}
+    exec(f"def step({', '.join(['e', 'dt'] + dE + row)}):\n"
+         + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["step"]
+
+
 def accumulate_cost(sens, e, S_e_row_i, dt):
     """Left-rectangle accumulation of E and dE/dtheta_I; sign(0) counts as 0.
 
     ``S_e_row_i`` is any sequence of floats (empty accumulates E alone); the
-    gradient is updated in place one float at a time, which for small n is
-    cheaper than building arrays every step.
+    gradient step is ``gradient_code``'s, which a run's loop runs inline.
     """
     if not sens.active:
         raise LearnerError("accumulate_cost on inactive sensitivity state")
     sens.E_acc += abs(e) * dt
-    if e != 0.0:
-        sign = 1.0 if e > 0.0 else -1.0
-        grad = sens.dE_dthI
-        for c, s in enumerate(S_e_row_i):
-            grad[c] += sign * s * dt
+    row = [float(s) for s in S_e_row_i]
+    grad = sens.dE_dthI
+    grad[:len(row)] = _gradient_step(len(row))(e, dt, *grad[:len(row)].tolist(), *row)
     return sens
 
 

@@ -43,12 +43,13 @@ from .dynamics import (
     theta_at,
 )
 from .errors import ConfigError, DivergenceError, require_finite
-from .learner import (
+from .learner import (  # accumulate_cost: the per-layer tracer wraps it here
     GradientMode,
     PhaseSnapshot,
     SensitivityState,
     accumulate_cost,
     close_phase,
+    gradient_code,
 )
 from .preadapt import PreadaptNet, apply_preadaptation, theta_init
 
@@ -419,12 +420,14 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     returns to Python, with ``_rk4_code``'s step inlined.
 
     It enters at row k, whose events ``run`` has handled, and for each row
-    does the row's bookkeeping (a phase's peak |e| and cost, the learner's
-    accumulation), the RK4 step, the guard, then e of row k + 1.  It returns
-    at row ``stop``, when row k reaches ``next_start``'s schedule piece, or
-    on divergence, with ``(error, k, e, edot, flags, peak, E, y)``; after a
-    divergence, k is the row the failed step started from and ``y`` the
-    state that step made.
+    does the row's bookkeeping (a phase's peak |e| and cost, and with
+    sensitivities the learner's ``gradient_code`` step), the RK4 step, the
+    guard, then e of row k + 1.  It returns at row ``stop``, when row k
+    reaches ``next_start``'s schedule piece, or on divergence, with
+    ``(error, k, e, edot, flags, peak, E, y)``; after a divergence, k is the
+    row the failed step started from and ``y`` the state that step made.
+    The gradient is kept in locals and written back to ``sens.dE_dthI`` on
+    every return.
 
     ``live``: the run's loop.  It buffers each trace row before the state
     moves, then updates the rate estimate and runs the crossing test of row
@@ -453,21 +456,22 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
         head.append(_unpack([f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)],
                             "xr_stages"))
     book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
+    save = []
     if with_sens:  # a phase is always open while the learner runs
-        book.append("accumulate_cost(sens, e, ("
-                    + "".join(f"{v}, " for v in y[3 * n + iy * n:3 * n + (iy + 1) * n])
-                    + f"), {dt})")
+        dE = [f"dE{c}" for c in range(n)]
+        head.append(_unpack(dE, "sens.dE_dthI.tolist()"))
+        book += gradient_code(y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
+        save.append(f"sens.dE_dthI[:] = [{', '.join(dE)}]")
     else:
         book = ["if tracking:"] + [f"    {line}" for line in book]
     flags = "(0, 0, 0)"
-    save = []
     if live:
         head += ["e_prev, e_track, in_dist, events = "
                  "att.e_prev, att.e_track, att.in_disturbance, att.events",
                  "in_dist0 = in_dist"]
         flags = EVENT_FLAGS
-        save = ["att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = "
-                "e_prev, edot, e_track, in_dist"]
+        save.append("att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = "
+                    "e_prev, edot, e_track, in_dist")
         # the trace row takes the control stage 1 applied
         lines = lines + [f"rows += ({', '.join(y[:3 * n])}, e, edot, u_1)"]
     # each new component depends only on its own old one and the slopes, so
@@ -493,22 +497,39 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     loop += [f"if {ends}:", *(f"    {line}" for line in save),
              f"    return None, k, e, edot, ({flags}), peak, E, {state}"]
     return ("def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking,"
-            " rows, att, sens, xr_stages, accumulate_cost, check_bounded):\n"
+            " rows, att, sens, xr_stages, check_bounded):\n"
             + "".join(f"    {line}\n" for line in head + ["while True:"])
             + "".join(f"        {line}\n" for line in loop))
 
 
+def _control_source(st):
+    """Source of ``u(y)``: the control a step from state ``y`` applies."""
+    y = _unpack(_state_names(st.n, False, ""), f"y[:{3 * st.n}]")
+    return f"def u(y):\n    {y}\n    return {_control_code(st, '')}\n"
+
+
+_SOURCES = {"f": _coupled_derivative_source, "segment": _segment_source,
+            "rest": _reference_rest_source, "u": _control_source}
+
+
 @functools.lru_cache(maxsize=64)
-def _compile(source, name):
-    """Function ``name`` defined by ``source``; cached by the text, so the
-    many ``_Stepper``s of a sweep or a grad-check compile each loop once."""
+def _compile(stepper, name, *flags):
+    """Function ``name`` of ``_SOURCES[name](stepper, *flags)``.  Cached by
+    the stepper's numbers and the flags, which fix the text, so the many
+    ``_Stepper``s of a sweep or a grad-check generate and compile each loop
+    once."""
     namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError}
-    exec(source, namespace)
+    exec(_SOURCES[name](stepper, *flags), namespace)
     return namespace[name]
 
 
 class _Stepper:
-    """Closed-loop data, as floats, and the compiled run segments."""
+    """Closed-loop data, as floats, and the compiled run segments.
+
+    Two steppers are equal when their numbers have the same reprs: the
+    generated code sees them only as ``repr`` literals and through the
+    values those give back, so equal steppers generate the same text.
+    """
 
     def __init__(self, cfg, ctrl, ref):
         self.n = cfg.plant.n
@@ -525,34 +546,32 @@ class _Stepper:
         self.r = float(cfg.r)
         self.dt = float(cfg.dt)
         self.attention = cfg.attention
-        self._segments = {}      # compiled on first use, per _segment_source's flags
-        self._rest = None        # compiled on first use
+        self._key = repr(vars(self))
+
+    def __eq__(self, other):
+        return isinstance(other, _Stepper) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def derivative(self, with_sens, exact_sens):
         """The compiled ``f(y, theta)`` the step integrates."""
-        return _compile(_coupled_derivative_source(self, with_sens, exact_sens), "f")
+        return _compile(self, "f", with_sens, exact_sens)
 
     def control(self):
         """The compiled ``u(y)``: the control a step from state ``y`` applies."""
-        y = _unpack(_state_names(self.n, False, ""), f"y[:{3 * self.n}]")
-        return _compile(f"def u(y):\n    {y}\n    return {_control_code(self, '')}\n", "u")
+        return _compile(self, "u")
 
     def segment(self, with_sens, exact_sens, live, settled):
         """The compiled ``segment`` of ``run``'s loop (``_segment_source``)."""
-        key = (with_sens, exact_sens, live, settled)
-        fn = self._segments.get(key)
-        if fn is None:
-            fn = self._segments[key] = _compile(_segment_source(self, *key), "segment")
-        return fn
+        return _compile(self, "segment", with_sens, exact_sens, live, settled)
 
     def reference_rest(self, xr):
         """x_r's RK4 stage-2..4 values, for a settled ``segment``, if the
         reference state ``xr`` is a bit-exact fixed point of its RK4 step,
         else None.  The reference model is autonomous, so a fixed point
         stays one."""
-        if self._rest is None:
-            self._rest = _compile(_reference_rest_source(self), "rest")
-        new, stages = self._rest(xr)
+        new, stages = _compile(self, "rest")(xr)
         return stages if _bits(new) == _bits(xr) else None
 
     def step(self, y, theta, with_sens=False, exact_sens=False, k=0):
@@ -568,7 +587,7 @@ class _Stepper:
         sens.activate(None)
         exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens, False, False)(
             y, [float(v) for v in theta], k, k + 1, math.inf, 0.0, 0.0, 0.0, 0.0,
-            False, None, None, sens, None, accumulate_cost, check_bounded,
+            False, None, None, sens, None, check_bounded,
         )
         if exc is not None:
             raise exc
@@ -595,6 +614,7 @@ class PhaseMetrics:
     snapshot: PhaseSnapshot | None = None
     step_u: int = 0
     step_d: int | None = None
+    grad: np.ndarray | None = None   # the learner's dE/dtheta_I, unclipped
 
 
 @dataclass
@@ -623,13 +643,16 @@ def _sensitivity_start(n):
     return [0.0] * (n * n) + np.eye(n).reshape(-1).tolist()
 
 
-def _store_sensitivities(sens, y):
-    """Move the flat sensitivities off the end of ``y`` into S_e and S_th."""
+def _store_sensitivities(sens, y, phase):
+    """Move the flat sensitivities off the end of ``y`` into S_e and S_th,
+    and take the learner's cost from ``phase``: the loop adds the same
+    terms to both, so it keeps one sum."""
     n = sens.n
     flat = np.array(y[3 * n:])
     del y[3 * n:]
     sens.S_e = flat[:n * n].reshape(n, n)
     sens.S_th = flat[n * n:].reshape(n, n)
+    sens.E_acc = phase.E_phase
 
 
 def _next_piece_start(schedule, t):
@@ -780,7 +803,8 @@ def run(cfg, on_rows=None):
             open_phase.recovered = True
             tracking = False
             if cfg.preadapt.learner_enabled and sens.active:
-                _store_sensitivities(sens, y)
+                _store_sensitivities(sens, y, open_phase)
+                open_phase.grad = sens.dE_dthI
                 net, report = close_phase(
                     sens, net, cfg.preadapt.gamma_pa, t,
                     clip_norm=cfg.preadapt.clip_norm,
@@ -804,8 +828,7 @@ def run(cfg, on_rows=None):
                    else (0.0, 0.0))
         exc, k, e, edot, flags, peak, E, y = segment(
             y, theta_floats, k, min(written + _TRACE_CHUNK, N), next_start, e, edot,
-            peak, E, tracking, rows, att, sens, xr_stages, accumulate_cost,
-            check_bounded,
+            peak, E, tracking, rows, att, sens, xr_stages, check_bounded,
         )
         if tracking:
             open_phase.peak_abs_e, open_phase.E_phase = peak, E
@@ -825,7 +848,7 @@ def run(cfg, on_rows=None):
 
     if sens.active:
         # phase never closed before the horizon: no weight update, log it
-        _store_sensitivities(sens, y)
+        _store_sensitivities(sens, y, open_phase)
         phase_reports.append({
             "t_u": sens.snapshot.t_u, "t_d": None, "E_acc": sens.E_acc,
             "grad_W_norm": None, "grad_V_norm": None, "updated": False,
@@ -934,25 +957,47 @@ def _picklable(exc):
     return RuntimeError(f"fork_map worker raised {type(exc).__name__}: {exc}")
 
 
-def _map_in_child(fn, items, fd):
-    """Body of a forked fork_map worker: pickle ``(True, results)`` or
-    ``(False, exception)`` to the pipe ``fd``, then _exit.
+#: fork_map's tickets at most: 4 bytes each, 512 bytes in all, which is
+#: POSIX's least PIPE_BUF, so one write puts them whole into an empty pipe
+_TICKETS = 128
+
+
+def _pull(fn, items, tickets, per_ticket):
+    """Compute the items of each ticket this process reads from the pipe
+    ``tickets`` until it is empty or ``fn`` raises an Exception.  A ticket is
+    the index of its first item.  Returns ``({index: result}, None)`` or,
+    on an exception, ``({index: result}, (index, exception))``."""
+    done = {}
+    while ticket := os.read(tickets, 4):
+        start, = struct.unpack("I", ticket)
+        for i in range(start, min(start + per_ticket, len(items))):
+            try:
+                done[i] = fn(items[i])
+            except Exception as exc:
+                return done, (i, exc)
+    return done, None
+
+
+def _map_in_child(fn, items, tickets, per_ticket, fd):
+    """Body of a forked fork_map worker: ``_pull`` items, pickle what it
+    returns to the pipe ``fd``, then _exit.
 
     os._exit skips the parent's stdio buffers and atexit hooks, which the
     child inherited and must not flush or run.  The traceback of an
-    exception ``fn`` raises goes to stderr here; only its type and message
-    cross the pipe.
+    exception ``fn`` raises goes to stderr here; only its item's index, its
+    type and its message cross the pipe.
     """
     code = 1
     try:
         with os.fdopen(fd, "wb") as pipe:
-            try:
-                data = pickle.dumps((True, [fn(x) for x in items]))
-            except Exception as exc:
-                traceback.print_exc()
-                data = pickle.dumps((False, _picklable(exc)))
-            pipe.write(data)
+            done, failure = _pull(fn, items, tickets, per_ticket)
+            if failure is not None:
+                traceback.print_exception(failure[1])
+                failure = failure[0], _picklable(failure[1])
+            pipe.write(pickle.dumps((done, failure)))
         code = 0
+    except Exception:   # a result that does not pickle: status 1 there
+        traceback.print_exc()
     finally:
         os._exit(code)
 
@@ -960,16 +1005,26 @@ def _map_in_child(fn, items, fd):
 def fork_map(fn, items):
     """``[fn(x) for x in items]``, computed by one process per CPU.
 
-    The items are dealt round-robin between this process and one forked
-    worker per further CPU, ``min(_cpu_count(), len(items))`` processes in
-    all; this process computes its own share.  Each worker pickles its
-    results to this process over a pipe, which is read to its end before
-    that worker, and only it, is waited for.  An exception ``fn`` raises in
-    a worker is raised here with the same type and message (a RuntimeError
-    naming it if it does not pickle), so a DivergenceError keeps its exit
-    code.  On any exception here, KeyboardInterrupt included, every live
-    worker is killed and reaped.  With one CPU, or without ``os.fork``, it
-    is a plain loop.
+    This process and one forked worker per further CPU,
+    ``min(_cpu_count(), len(items))`` processes in all, pull the items in
+    index order: each takes the next unclaimed one whenever it is free, so
+    a caller that lists its longest items first gets longest-first list
+    scheduling (Graham, 1969).  The claims are 4-byte tickets, written into
+    a pipe before the first fork, whose write end is then closed, so a
+    process stops at the pipe's end.  Past ``_TICKETS`` items a ticket
+    stands for a run of consecutive ones.  Each worker pickles its results,
+    by index, to this process over a pipe, which is read to its end before
+    that worker, and only it, is waited for.
+
+    A process stops pulling at its first exception from ``fn``.  The
+    exception raised here is that of the lowest failing index, which the
+    loop would raise too: items are claimed in order, so each one below it
+    was claimed and computed.  A worker's exception keeps its type and
+    message (a RuntimeError naming it if it does not pickle), so a
+    DivergenceError keeps its exit code; a worker that exits without a
+    result raises RuntimeError with its status.  On any exception here,
+    KeyboardInterrupt included, every live worker is killed and reaped.
+    With one CPU, or without ``os.fork``, it is a plain loop.
 
     A forked child holds only the thread that forked it, so ``fn`` must not
     need a lock that another thread of the parent could hold at the fork.
@@ -983,9 +1038,16 @@ def fork_map(fn, items):
     procs = min(_cpu_count(), len(items)) if hasattr(os, "fork") else 1
     if procs < 2:
         return [fn(x) for x in items]
+    per_ticket = -(-len(items) // _TICKETS)
+    starts = range(0, len(items), per_ticket)
+    tickets, feed = os.pipe()
     workers = []   # [pid, pipe] of each worker, pid None once reaped
     try:
-        for w in range(1, procs):
+        try:
+            os.write(feed, struct.pack(f"{len(starts)}I", *starts))
+        finally:
+            os.close(feed)
+        for _ in range(1, procs):
             r, wfd = os.pipe()
             try:
                 pid = os.fork()
@@ -994,12 +1056,12 @@ def fork_map(fn, items):
                 os.close(wfd)
                 raise
             if pid == 0:
-                _map_in_child(fn, items[w::procs], wfd)
+                _map_in_child(fn, items, tickets, per_ticket, wfd)
             os.close(wfd)
             workers.append([pid, os.fdopen(r, "rb")])
-        results = [None] * len(items)
-        results[::procs] = [fn(x) for x in items[::procs]]
-        for w, worker in enumerate(workers, 1):
+        results, failure = _pull(fn, items, tickets, per_ticket)
+        failures = [] if failure is None else [failure]
+        for worker in workers:
             pid, pipe = worker
             data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -1007,17 +1069,20 @@ def fork_map(fn, items):
             if status != 0:
                 raise RuntimeError(f"fork_map worker exited with status "
                                    f"{os.waitstatus_to_exitcode(status)}")
-            ok, out = pickle.loads(data)
-            if not ok:
-                raise out
-            results[w::procs] = out
-        return results
+            done, failure = pickle.loads(data)
+            results.update(done)
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return [results[i] for i in range(len(items))]
     finally:
         for pid, pipe in workers:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             pipe.close()
+        os.close(tickets)
 
 
 # --------------------------------------------------------------------------
@@ -1054,7 +1119,7 @@ def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
         segment = stepper.segment(with_sens, exact_sens, False, xr_stages is not None)
         exc, k, e, _, _, _, E, y = segment(
             y, theta, k, min(k + _TRACE_CHUNK, stop), next_start, e, 0.0, 0.0, E,
-            True, None, None, sens, xr_stages, accumulate_cost, check_bounded,
+            True, None, None, sens, xr_stages, check_bounded,
         )
         if exc is not None:
             raise exc
@@ -1066,7 +1131,10 @@ def grad_check(cfg, phase_index, delta, result=None):
 
     Re-simulates the chosen closed phase with the reinitialization value
     perturbed component-wise by +/- delta, events frozen, and compares
-    against the sensitivity-ODE gradient for both gradient modes.
+    against the sensitivity-ODE gradient for both gradient modes.  The
+    gradient of ``cfg``'s own mode is the one the run kept in the phase
+    when ``result`` is a run of ``cfg`` itself (or None); a replay of the
+    window gives the same bits.  Every other gradient is replayed.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ConfigError(f"delta must be finite and positive, got {delta}")
@@ -1088,24 +1156,32 @@ def grad_check(cfg, phase_index, delta, result=None):
     n = cfg.plant.n
     theta_I = snap.theta_I
 
-    # the two sensitivity replays, the slow ones, come first, so that
-    # fork_map's round-robin deal puts them in different processes
     modes = (GradientMode.EXACT, GradientMode.APPROX)
-    jobs = [(theta_I, mode) for mode in modes]
+    grads = {}
+    if result.config is cfg and phase.grad is not None:
+        grads[cfg.preadapt.gradient_mode] = phase.grad.copy()
+    # the sensitivity replays, the slow jobs, come first: fork_map's
+    # processes pull the jobs in order, so they start at once
+    jobs = [(theta_I, mode) for mode in modes if mode not in grads]
     for j in range(n):
         bump = np.zeros(n)
         bump[j] = delta
         jobs += [(theta_I + bump, None), (theta_I - bump, None)]
     replays = fork_map(lambda job: _replay_window(cfg, stepper, snap, steps, *job), jobs)
+    for (_, mode), (_, grad) in zip(jobs, replays):
+        if mode is not None:
+            grads[mode] = grad
+    bumped = replays[len(replays) - 2 * n:]
 
     fd = np.zeros(n)
     for j in range(n):
-        (e_plus, _), (e_minus, _) = replays[2 + 2 * j], replays[3 + 2 * j]
+        (e_plus, _), (e_minus, _) = bumped[2 * j], bumped[2 * j + 1]
         fd[j] = (e_plus - e_minus) / (2.0 * delta)
 
     report = {"phase_index": phase_index, "t_u": phase.t_u, "t_d": phase.t_d,
               "delta": delta, "fd": fd, "modes": {}}
-    for mode, (_, grad) in zip(modes, replays):
+    for mode in modes:
+        grad = grads[mode]
         rel = np.empty(n)
         for j in range(n):
             if abs(fd[j]) < 1e-8:

@@ -39,7 +39,12 @@ from preadaptive_control import (
 )
 from preadaptive_control.cli import _GRAD_CHECK_TOL, load_scenario, write_trace_csv
 from preadaptive_control.learner import grad_weights
-from preadaptive_control.simengine import fork_map
+from preadaptive_control.simengine import (
+    _replay_window,
+    _Stepper,
+    build_controller,
+    fork_map,
+)
 
 from conftest import windowed_cost
 
@@ -161,15 +166,22 @@ BUNDLED_LEARNER_PHASES = {"scenario1_learner": 2, "scenario2_learner": 5,
 
 def test_grad_check_every_bundled_learner_phase():
     # exact mode is held to the CLI's tolerance on every closed phase;
-    # approx mode's bias is reported, not gated
+    # approx mode's bias is reported, not gated.  grad_check takes the
+    # run's own-mode gradient, which a replay of the window must give back
+    # bit for bit, with the phase's cost
     exact, approx = [], []
     for name, count in BUNDLED_LEARNER_PHASES.items():
         cfg = load_scenario(str(resources.files("preadaptive_control")
                                 / "scenarios" / f"{name}.yaml"))
         res = run(cfg)
+        stepper = _Stepper(cfg, *build_controller(cfg))
         closed = [p for p in res.phases if p.recovered and p.snapshot is not None]
         assert len(closed) == count, name
-        for i in range(count):
+        for i, p in enumerate(closed):
+            E, grad = _replay_window(cfg, stepper, p.snapshot, p.step_d - p.step_u,
+                                     p.snapshot.theta_I, cfg.preadapt.gradient_mode)
+            assert repr(E) == repr(p.E_phase), (name, i)
+            assert grad.tobytes() == p.grad.tobytes(), (name, i)
             modes = grad_check(cfg, i, 1e-5, result=res)["modes"]
             exact.append(modes["exact"]["max_rel_error"])
             approx.append(modes["approx"]["max_rel_error"])

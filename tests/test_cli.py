@@ -650,19 +650,29 @@ def test_cmd_grad_check_needs_preadapt():
 
 def test_cmd_grad_check_divergence_in_a_worker_exits_3(short_scenario, monkeypatch,
                                                        capsys):
-    # jobs [exact, approx, +e0, -e0, ...] dealt over 2 processes: the -e0
-    # bump is job 3, the forked worker's
+    # the forked worker's first replay diverges; this process's first replay
+    # waits until the worker has started one, so the worker gets a job
     real_replay = simengine._replay_window
+    parent = os.getpid()
+    started_r, started_w = os.pipe()
+    waited = []
 
     def replay(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
-        if sens_mode is None and theta_I[0] < snapshot.theta_I[0]:
+        if os.getpid() != parent:
+            os.write(started_w, b"x")
             raise DivergenceError(f"planted divergence in pid {os.getpid()}")
+        if not waited:
+            waited.append(os.read(started_r, 1))
         return real_replay(cfg, stepper, snapshot, steps, theta_I, sens_mode)
 
     monkeypatch.setattr(simengine, "_replay_window", replay)
     monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
     forks = counting_forks(monkeypatch)
-    code = cli.main(["grad-check", short_scenario, "--phase", "0"])
+    try:
+        code = cli.main(["grad-check", short_scenario, "--phase", "0"])
+    finally:
+        os.close(started_r)
+        os.close(started_w)
     assert code == cli.EXIT_DIVERGED
     assert len(forks) == 1
     assert f"divergence: planted divergence in pid {forks[0]}" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import hashlib
 import importlib.resources
 import os
+import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -453,6 +455,29 @@ def test_compiled_step_is_rk4_of_compiled_derivative(n, with_sens, exact):
         assert np.array_equal(got, want)
 
 
+def test_equal_steppers_share_their_compiled_loops(monkeypatch):
+    # a fresh stepper with the same numbers takes the loop compiled for the
+    # first and builds no source text; r = 0.0123456789 is no other test's
+    built = []
+    real_source = simengine._segment_source
+
+    def source(st, *flags):
+        built.append(flags)
+        return real_source(st, *flags)
+
+    monkeypatch.setitem(simengine._SOURCES, "segment", source)
+    cfg = default_config(1, r=0.0123456789)
+    first, second = (_Stepper(cfg, *build_controller(cfg)) for _ in range(2))
+    assert first == second and first is not second
+    assert (first.segment(True, False, False, True)
+            is second.segment(True, False, False, True))
+    assert built == [(True, False, False, True)]
+    # the numbers are told apart by their reprs, so -0.0 is not 0.0
+    zero, minus_zero = (_Stepper(c, *build_controller(c))
+                        for c in (default_config(1, r=0.0), default_config(1, r=-0.0)))
+    assert zero != minus_zero
+
+
 @pytest.mark.parametrize("with_sens, exact", [(False, False), (True, False), (True, True)])
 def test_compiled_step_has_no_trivial_products(stepper, with_sens, exact):
     # the B-747 loop's zero and unit literals leave no product or sum head
@@ -532,9 +557,9 @@ def test_learner_updates_weights_each_closed_phase(learner1_result):
 
 
 def test_phase_cost_matches_learner_accumulator(learner1_result):
-    # the phase's cost, the learner's accumulator and the grad-check replay of
-    # the unperturbed window, with or without sensitivities, add the same
-    # |e| * dt terms in the same order
+    # the learner's report takes the phase's cost, and the grad-check replay
+    # of the unperturbed window, with or without sensitivities, adds the
+    # same |e| * dt terms in the same order
     cfg = learner1_result.config
     stepper = _Stepper(cfg, *build_controller(cfg))
     by_tu = {p.t_u: p for p in learner1_result.phases}
@@ -665,6 +690,30 @@ def test_grad_check_report_does_not_depend_on_cpu_count(learner1_result, monkeyp
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("name", ["learner1_result", "exact18_result"])
+def test_grad_check_takes_the_runs_own_gradient(name, request, monkeypatch):
+    # given its own run, grad-check replays the other mode and the 2n bumped
+    # windows; given the same run under another config object, all 2n + 2
+    res = request.getfixturevalue(name)
+    cfg = res.config
+    own = cfg.preadapt.gradient_mode
+    real_replay = simengine._replay_window
+    modes = []
+
+    def replay(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
+        modes.append(sens_mode)
+        return real_replay(cfg, stepper, snapshot, steps, theta_I, sens_mode)
+
+    monkeypatch.setattr(simengine, "_replay_window", replay)
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 1)
+    reused = repr(grad_check(cfg, 1, 1e-5, result=res))
+    assert modes == [m for m in GradientMode if m is not own] + [None] * 6
+    modes.clear()
+    copied = replace(res, config=replace(cfg))
+    assert repr(grad_check(cfg, 1, 1e-5, result=copied)) == reused
+    assert modes == [GradientMode.EXACT, GradientMode.APPROX] + [None] * 6
+
+
 # --------------------------------------------------------------------------
 # forked map
 
@@ -673,12 +722,22 @@ def test_fork_map_equals_the_loop(cpus, monkeypatch):
     items = list(range(7))
     monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
     forks = counting_forks(monkeypatch)
-    out = fork_map(lambda x: (x, x * x, os.getpid()), items)
+    r, w = os.pipe()
+
+    def fn(x):
+        os.write(w, struct.pack("I", x))    # a record of each call, in any process
+        return x, x * x, os.getpid()
+
+    try:
+        out = fork_map(fn, items)
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as calls:
+        computed = sorted(struct.iter_unpack("I", calls.read()))
     assert [o[:2] for o in out] == [(x, x * x) for x in items]
+    assert computed == [(x,) for x in items]    # each item exactly once
     assert len(forks) == cpus - 1
-    # dealt round-robin: item i ran in process i % cpus, this one first
-    procs = [os.getpid(), *forks]
-    assert [o[2] for o in out] == [procs[i % cpus] for i in items]
+    assert {o[2] for o in out} <= {os.getpid(), *forks}
     assert_no_child_left()
 
 
@@ -698,30 +757,72 @@ def test_fork_map_without_fork_is_a_loop(monkeypatch):
         (x, os.getpid()) for x in [1, 2, 3]]
 
 
-def _fails_in_a_worker(exc):
-    """A function that returns its item in this process and raises ``exc``
-    in a forked one."""
-    parent = os.getpid()
+def test_fork_map_takes_more_items_than_a_pipe_holds_tickets(monkeypatch):
+    # 20,000 4-byte tickets would overfill a 64 KiB pipe
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    items = range(20_000)
+    assert fork_map(lambda x: -x, items) == [-x for x in items]
+    assert_no_child_left()
 
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_raises_the_lowest_failing_item(cpus, monkeypatch):
+    # item 4 fails before item 2 does; the loop would raise item 2's
     def fn(x):
-        if os.getpid() != parent:
-            raise exc(x)
+        if x == 2:
+            time.sleep(0.05)
+        if x in (2, 4):
+            raise ValueError(f"item {x}")
         return x
-    return fn
+
+    monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
+    with pytest.raises(ValueError, match="^item 2$"):
+        fork_map(fn, range(7))
+    assert_no_child_left()
 
 
-def test_fork_map_raises_a_worker_exception_as_itself(monkeypatch, capfd):
+@pytest.fixture
+def fails_in_a_worker():
+    """``make(exc)`` gives ``(fn, here)``: ``fn`` raises ``exc(x)`` at the
+    first item a forked worker takes, and returns its item in this process,
+    where its first call waits until a worker has taken one; ``here`` lists
+    the items this process computed."""
+    parent = os.getpid()
+    r, w = os.pipe()
+
+    def make(exc):
+        here = []
+
+        def fn(x):
+            if os.getpid() != parent:
+                os.write(w, b"x")
+                raise exc(x)
+            if not here:
+                os.read(r, 1)
+            here.append(x)
+            return x
+        return fn, here
+
+    yield make
+    os.close(r)
+    os.close(w)
+
+
+def test_fork_map_raises_a_worker_exception_as_itself(monkeypatch, capfd,
+                                                      fails_in_a_worker):
     def diverge(x):
         return DivergenceError(f"planted divergence at item {x}", t=1.5, component=2)
 
     monkeypatch.setattr(simengine, "_cpu_count", lambda: 3)
     forks = counting_forks(monkeypatch)
+    fn, here = fails_in_a_worker(diverge)
     with pytest.raises(DivergenceError) as info:
-        fork_map(_fails_in_a_worker(diverge), range(6))
-    assert str(info.value) == "planted divergence at item 1"
+        fork_map(fn, range(6))
+    first = min(set(range(6)) - set(here))     # the workers' lowest item
+    assert str(info.value) == f"planted divergence at item {first}"
     assert (info.value.t, info.value.component) == (1.5, 2)
     # the worker printed its traceback, which does not cross the pipe
-    assert "planted divergence at item 1" in capfd.readouterr().err
+    assert f"planted divergence at item {first}" in capfd.readouterr().err
     assert len(forks) == 2
     for pid in forks:
         with pytest.raises(ChildProcessError):
@@ -729,21 +830,23 @@ def test_fork_map_raises_a_worker_exception_as_itself(monkeypatch, capfd):
     assert_no_child_left()
 
 
-def test_fork_map_names_an_exception_that_does_not_pickle(monkeypatch):
+def test_fork_map_names_an_exception_that_does_not_pickle(monkeypatch, fails_in_a_worker):
     class Local(Exception):
         pass
 
     monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    fn, here = fails_in_a_worker(Local)
     with pytest.raises(RuntimeError) as info:
-        fork_map(_fails_in_a_worker(Local), range(2))
-    assert str(info.value) == "fork_map worker raised Local: 1"
+        fork_map(fn, range(2))
+    assert str(info.value) == f"fork_map worker raised Local: {1 - here[0]}"
     assert_no_child_left()
 
 
-def test_fork_map_reports_a_worker_that_exits(monkeypatch):
+def test_fork_map_reports_a_worker_that_exits(monkeypatch, fails_in_a_worker):
     monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
+    fn, _ = fails_in_a_worker(lambda x: os._exit(7))
     with pytest.raises(RuntimeError, match="worker exited with status 7"):
-        fork_map(_fails_in_a_worker(lambda x: os._exit(7)), range(2))
+        fork_map(fn, range(2))
     assert_no_child_left()
 
 
