@@ -623,7 +623,8 @@ def cmd_grad_check(args):
     print(f"  finite-difference: {report['fd']}")
     for mode, entry in report["modes"].items():
         print(f"  {mode:<7} grad: {entry['grad']}  "
-              f"max rel err: {entry['max_rel_error']:.3e}")
+              f"max rel err: {entry['max_rel_error']:.3e}  "
+              f"cos to fd: {entry['cos_to_fd']:.6f}")
     # the exact-mode gradient is held to tolerance; approx is advisory only
     if report["modes"]["exact"]["max_rel_error"] >= _GRAD_CHECK_TOL:
         print(f"FAIL: exact-mode relative error exceeds {_GRAD_CHECK_TOL:g}",

@@ -42,6 +42,7 @@ from .dynamics import (
     check_bounded,
     theta_at,
 )
+from . import native
 from .errors import ConfigError, DivergenceError, require_finite
 from .learner import (  # accumulate_cost: the per-layer tracer wraps it here
     GradientMode,
@@ -239,6 +240,11 @@ def default_config(scenario=1, preadapt=None, **overrides):
 # NaN where the reduced sum may be inf or finite; the step's result is then
 # non-finite either way and the guard stops the run, though it may name
 # another component.
+#
+# The run segment is also written as C from the same lines (native.py turns
+# each Python statement into C with Python's grouping and the same literals)
+# and compiled with IEEE semantics and no fused multiply-add, so it takes
+# the same bits; where no C compiler answers, the Python loop runs.
 
 
 def _sum(head, terms):
@@ -415,6 +421,36 @@ def _reference_rest_source(st):
     return "def rest(xr):\n" + "".join(f"    {line}\n" for line in body)
 
 
+def _loop_parts(st, with_sens, exact_sens, settled):
+    """The code text of one row of ``run``'s loop, for both backends.
+
+    Returns (y, lines, moving, book): the state locals; ``_rk4_code``'s
+    lines; (local, expression) of each state component the step moves; and
+    the row's bookkeeping before the step, a phase's peak |e| and cost (while
+    ``tracking``) and with sensitivities the learner's ``gradient_code``
+    step.  ``settled`` leaves out x_r's stage states, slopes and update.
+    """
+    n, iy = st.n, st.iy
+    lines, out = _rk4_code(st, with_sens, exact_sens)
+    y = _state_names(n, with_sens, "_1")
+    moving = list(zip(y, out))
+    if settled:
+        targets = _reference_targets(n)
+        lines = [line for line in lines if _target(line) not in targets]
+        moving = moving[:n] + moving[2 * n:]
+    dt = _literal(st.dt)
+    book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
+    if with_sens:  # a phase is always open while the learner runs
+        book += gradient_code(y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
+    else:
+        book = ["if tracking:"] + [f"    {line}" for line in book]
+    return y, lines, moving, book
+
+
+def _settled_stages(n):
+    return [f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)]
+
+
 def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     """Source of ``segment(...)``: ``run``'s loop over the steps between two
     returns to Python, with ``_rk4_code``'s step inlined.
@@ -441,29 +477,21 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     ``_reference_rest_source``'s order.  The loop leaves out x_r's stage
     states, slopes and update, and its squares in the guard, which the same
     values passed on an earlier row.
+
+    ``_segment_c_source`` is the same loop in C, from the same code text.
     """
     n, iy = st.n, st.iy
-    lines, out = _rk4_code(st, with_sens, exact_sens)
-    y = _state_names(n, with_sens, "_1")
-    moving = list(zip(y, out))
+    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens, settled)
     dt = _literal(st.dt)
     state = "[" + ", ".join(y) + "]"
     head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta")]
     if settled:
-        targets = _reference_targets(n)
-        lines = [line for line in lines if _target(line) not in targets]
-        moving = moving[:n] + moving[2 * n:]
-        head.append(_unpack([f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)],
-                            "xr_stages"))
-    book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
+        head.append(_unpack(_settled_stages(n), "xr_stages"))
     save = []
-    if with_sens:  # a phase is always open while the learner runs
+    if with_sens:
         dE = [f"dE{c}" for c in range(n)]
         head.append(_unpack(dE, "sens.dE_dthI.tolist()"))
-        book += gradient_code(y[3 * n + iy * n:3 * n + (iy + 1) * n], dt)
         save.append(f"sens.dE_dthI[:] = [{', '.join(dE)}]")
-    else:
-        book = ["if tracking:"] + [f"    {line}" for line in book]
     flags = "(0, 0, 0)"
     if live:
         head += ["e_prev, e_track, in_dist, events = "
@@ -502,6 +530,73 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
             + "".join(f"        {line}\n" for line in loop))
 
 
+def _segment_c_source(st, with_sens, exact_sens, live, settled):
+    """C of ``_segment_source``'s loop: ``int segment(y, theta, k, stop,
+    next_start, f, flags, row, xr_stages)``.
+
+    The row's bookkeeping, the RK4 step, the rate estimate and the crossing
+    test are ``native.statements`` of the Python loop's code text; only the
+    skeleton is written here.  ``y`` (the state), ``k``, ``f`` (e, edot,
+    peak, E, e_prev, e_track, then dE/dtheta_I) and ``flags`` (tracking,
+    in_dist) are read at entry and written back at the return.  The live
+    loop writes its trace rows one after another from ``row``, and returns
+    on an event, which the caller then appends to the event list in place
+    of the crossing test's ``events.append``.  The guard is
+    ``check_bounded``'s test: every component finite and the first 3n
+    within DIVERGENCE_LIMIT.  It returns 1 when the guard fails, with k the
+    row the failed step started from and ``y`` the state the step made,
+    else 0.
+    """
+    n, iy = st.n, st.iy
+    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens, settled)
+    dt = _literal(st.dt)
+    step, temps = native.statements(book + lines)
+    move, _ = native.statements([f"{v} = {x}" for v, x in moving])
+    detect, more = native.statements(
+        estimator_code(st.attention, dt) + detector_code(st.attention, f"k * {dt}")
+        if live else [], drop=("events",))
+    scalars = ["e", "edot", "peak", "E", "e_prev", "e_track"]
+    dE = [f"dE{c}" for c in range(n)] if with_sens else []
+    own = set(y + scalars + dE + ["k", "tracking", "in_dist"])
+
+    def declare(names, source):
+        return "double " + ", ".join(f"{v} = {source}[{i}]" for i, v in enumerate(names)) + ";"
+
+    head = [declare(y, "y"), declare([f"t{j}" for j in range(n)], "theta"),
+            declare(scalars + dE, "f"),
+            "long long k = *k_io;",
+            "int tracking = flags[0], in_dist = flags[1], in_dist0 = in_dist, failed = 0;",
+            "double " + ", ".join(v for v in dict.fromkeys(temps + more) if v not in own) + ";"]
+    if settled:
+        head.append(declare(_settled_stages(n), "xr_stages"))
+    limit = _literal(DIVERGENCE_LIMIT)
+    bounded = " && ".join([f"isfinite({v})" for v in y]
+                          + [f"fabs({v}) <= {limit}" for v in y[:3 * n]])
+    # the trace row takes the control stage 1 applied
+    record = [f"row[{i}] = {v};" for i, v in enumerate(y[:3 * n] + ["e", "edot", "u_1"])]
+    loop = step + (record + [f"row += {3 * n + 3};"] if live else []) + move + [
+        f"if (!({' + '.join(f'{v} * {v}' for v, _ in moving)} <= "
+        f"{_literal(DIVERGENCE_LIMIT ** 2)}) && !({bounded})) {{",
+        "    failed = 1;",
+        "    break;",
+        "}",
+        "k += 1;",
+        f"e = x{iy}_1 - xr{iy}_1;",
+        *detect,
+        f"if ({'in_dist != in_dist0 || ' if live else ''}k == stop"
+        f" || next_start <= k * {dt}) break;",
+    ]
+    tail = ([f"y[{i}] = {v};" for i, v in enumerate(y)]
+            + [f"f[{i}] = {v};" for i, v in enumerate(scalars + dE)]
+            + ["*k_io = k;", "flags[1] = in_dist;", "return failed;"])
+    return ("int segment(double *y, const double *theta, long long *k_io, long long stop,"
+            " double next_start, double *f, int *flags, double *row,"
+            " const double *xr_stages)\n{\n"
+            + "".join(f"    {line}\n" for line in head + ["for (;;) {"])
+            + "".join(f"        {line}\n" for line in loop)
+            + "    }\n" + "".join(f"    {line}\n" for line in tail) + "}\n")
+
+
 def _control_source(st):
     """Source of ``u(y)``: the control a step from state ``y`` applies."""
     y = _unpack(_state_names(st.n, False, ""), f"y[:{3 * st.n}]")
@@ -512,14 +607,83 @@ _SOURCES = {"f": _coupled_derivative_source, "segment": _segment_source,
             "rest": _reference_rest_source, "u": _control_source}
 
 
+def _native_segment(st, lib, with_sens, exact_sens, live, settled):
+    """``segment`` of ``_segment_source``'s signature and returns, over the C
+    loop in ``lib`` (``_segment_c_source``).  A live loop writes its trace
+    rows into ``rows.block`` (``_Rows``); on a failed guard, ``check_bounded``
+    raises from the state the C loop returns, as in the Python loop."""
+    import ctypes
+
+    n, dt = st.n, st.dt
+    size = len(_state_names(n, with_sens, ""))
+    Doubles, Scalars = ctypes.c_double * size, ctypes.c_double * (6 + n)
+    Theta, Stages, Flags = ctypes.c_double * n, ctypes.c_double * (3 * n), ctypes.c_int * 2
+    fn = lib.segment
+    fn.restype = ctypes.c_int
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
+                   ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_void_p]
+
+    def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking, rows, att,
+                sens, xr_stages, check_bounded):
+        if len(y) != size or len(theta) != n:   # ctypes would pad a short one
+            raise ValueError(f"a segment takes {size} states and {n} parameters")
+        state = Doubles(*y)
+        detector = (att.e_prev, att.e_track) if live else (0.0, 0.0)
+        f = Scalars(e, edot, peak, E, *detector, *(sens.dE_dthI if with_sens else ()))
+        in_dist0 = live and att.in_disturbance
+        flags = Flags(tracking, in_dist0)
+        k_io = ctypes.c_longlong(k)
+        failed = fn(state, Theta(*theta), ctypes.byref(k_io), stop, next_start, f, flags,
+                    rows.tail(stop - k) if live else None,
+                    None if xr_stages is None else Stages(*xr_stages))
+        end, y = k_io.value, state[:]
+        e, edot, peak, E = f[:4]
+        if with_sens:
+            sens.dE_dthI[:] = f[6:]
+        if live:
+            rows.count += end - k + failed
+            in_dist = bool(flags[1])
+            att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = (
+                f[4], edot, f[5], in_dist)
+        if failed:
+            try:
+                check_bounded(y, end * dt + dt, 3 * n)
+            except DivergenceError as exc:
+                return exc, end, e, edot, None, peak, E, y
+            raise RuntimeError("the native guard failed a state check_bounded passes")
+        events = (0, 0, 0)
+        if live and in_dist is not in_dist0:
+            events = (1, 0, 1) if in_dist else (0, 1, 1)
+            att.events.append((end * dt, "E_u" if in_dist else "E_d"))
+        return None, end, e, edot, events, peak, E, y
+
+    return segment
+
+
 @functools.lru_cache(maxsize=64)
 def _compile(stepper, name, *flags):
     """Function ``name`` of ``_SOURCES[name](stepper, *flags)``.  Cached by
     the stepper's numbers and the flags, which fix the text, so the many
     ``_Stepper``s of a sweep or a grad-check generate and compile each loop
-    once."""
+    once.
+
+    A ``segment`` is built as C (``_segment_c_source``) at its first use,
+    when a C compiler answers; where none does, or the build fails, it is
+    the Python loop, which gives the same bits, and its ``native_error``
+    says why."""
+    why = None
+    if name == "segment":
+        try:
+            native.compiler()   # no C text is made without one
+            lib = native.load(_segment_c_source(stepper, *flags))
+            return _native_segment(stepper, lib, *flags)
+        except native.BuildError as exc:
+            why = str(exc)
     namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError}
     exec(_SOURCES[name](stepper, *flags), namespace)
+    if why is not None:
+        namespace[name].native_error = why
     return namespace[name]
 
 
@@ -671,11 +835,43 @@ def _next_piece_start(schedule, t):
 _TRACE_CHUNK = 256
 
 
+class _Rows(list):
+    """The trace rows not yet written: floats appended to the list by the
+    Python loop, and rows in ``block`` (``count`` of them) written there by
+    the native one.  Both loops may fill one chunk, so the list is moved to
+    the block before the native loop writes and before the rows are read."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.block = np.empty((_TRACE_CHUNK + 1, width))
+        self.count = 0
+
+    def _flush(self):
+        if self:
+            new = np.frombuffer(_bits(self)).reshape(-1, self.block.shape[1])
+            self.block[self.count:self.count + len(new)] = new
+            self.count += len(new)
+            self.clear()
+
+    def tail(self, rows):
+        """The address the next row goes to, with room for ``rows`` rows."""
+        self._flush()
+        if self.count + rows > len(self.block):
+            raise ValueError(f"no room for {rows} rows after {self.count}")
+        return self.block.ctypes.data + self.count * self.block.strides[0]
+
+    def take(self):
+        """The rows, as a view of the block, which is then empty."""
+        self._flush()
+        rows, self.count = self.block[:self.count], 0
+        return rows
+
+
 def _write_rows(trace, rows, start, pieces, n):
     """Write the buffered rows (x, x_r, theta_hat, e, edot_hat, u each) from
     row ``start`` on, with their true parameter; returns the next row to
     write."""
-    block = np.frombuffer(_bits(rows)).reshape(-1, 3 * n + 3)
+    block = rows.take()
     stop = start + block.shape[0]
     hi = stop
     for first, theta in reversed(pieces):   # (first row, theta) of each piece
@@ -689,7 +885,6 @@ def _write_rows(trace, rows, start, pieces, n):
     trace["e"][start:stop] = block[:, 3 * n]
     trace["edot_hat"][start:stop] = block[:, 3 * n + 1]
     trace["u"][start:stop] = block[:, 3 * n + 2]
-    rows.clear()
     return stop
 
 
@@ -742,7 +937,7 @@ def run(cfg, on_rows=None):
         "Eu": np.zeros(N + 1, dtype=np.int8),
         "Ed": np.zeros(N + 1, dtype=np.int8),
     }
-    rows = []           # the rows not yet written to the trace, flat
+    rows = _Rows(3 * n + 3)     # the rows not yet written to the trace
     written = 0
     xr_stages = None    # x_r's stage values once it is at its fixed point
     pieces = []         # (first step, theta) of each schedule piece reached
@@ -1028,7 +1223,9 @@ def fork_map(fn, items):
 
     A forked child holds only the thread that forked it, so ``fn`` must not
     need a lock that another thread of the parent could hold at the fork.
-    grad_check's replays run the generated loop and call no BLAS routine.
+    grad_check's replays run the generated loop and call no BLAS routine;
+    a native loop is a call into the shared object the parent loaded (or
+    the worker builds), which takes no lock and calls no BLAS either.
     A ``fn`` that does call BLAS after the parent has (the acceptance
     criteria's seed runs, through build_controller) relies on the BLAS
     re-creating its thread pool in a forked child, as OpenBLAS's atfork
@@ -1135,6 +1332,10 @@ def grad_check(cfg, phase_index, delta, result=None):
     gradient of ``cfg``'s own mode is the one the run kept in the phase
     when ``result`` is a run of ``cfg`` itself (or None); a replay of the
     window gives the same bits.  Every other gradient is replayed.
+
+    Each mode reports its relative error to the finite differences, per
+    component, and ``cos_to_fd``, the cosine of its angle to them: a
+    gradient of the wrong scale can still point downhill.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ConfigError(f"delta must be finite and positive, got {delta}")
@@ -1192,5 +1393,16 @@ def grad_check(cfg, phase_index, delta, result=None):
             "grad": grad,
             "rel_error": rel,
             "max_rel_error": float(np.max(rel)),
+            "cos_to_fd": _cosine(grad.tolist(), fd.tolist()),
         }
     return report
+
+
+def _cosine(a, b):
+    """cos of the angle between the vectors ``a`` and ``b``, held to [-1, 1]
+    against rounding, NaN if one is zero; an exact sum of products, so no
+    BLAS summation order moves its bits."""
+    norms = math.hypot(*a) * math.hypot(*b)
+    if not norms > 0.0:
+        return math.nan
+    return min(1.0, max(-1.0, math.fsum(p * q for p, q in zip(a, b)) / norms))

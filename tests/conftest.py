@@ -1,10 +1,76 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from preadaptive_control import build_b747, default_config, run
+from preadaptive_control import build_b747, default_config, native, run, simengine
 from preadaptive_control.simengine import build_controller
+
+#: A compiler command that does not exist: the run loops are Python's.
+NO_CC = "preadapt-no-cc"
+
+
+def pytest_addoption(parser):
+    parser.addoption("--python-loop", action="store_true",
+                     help="hide the C compiler, so that every run loop is the "
+                          "Python one")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory, pytestconfig):
+    """The native loops build into this session's own cache directory, and
+    with --python-loop not at all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        if pytestconfig.getoption("--python-loop"):
+            mp.setattr(native, "_CC", NO_CC)
+        yield
+
+
+def python_loop(monkeypatch):
+    """From here on (until monkeypatch undoes it) steppers compile the
+    Python loop: the compiler is hidden and the compiled loops forgotten."""
+    monkeypatch.setattr(native, "_CC", NO_CC)
+    simengine._compile.cache_clear()
+
+
+@pytest.fixture(params=["native", "python"])
+def loop(request, monkeypatch):
+    """Run the test with the native loop (where a compiler answers) and
+    with the Python one."""
+    simengine._compile.cache_clear()
+    if request.param == "python":
+        python_loop(monkeypatch)
+    yield request.param
+    simengine._compile.cache_clear()
+
+
+def bits(value):
+    """``value`` with every float as its bits and every array as its dtype,
+    shape and bytes, so == tells -0.0 and NaNs apart."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return [(key, bits(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+def both_loops(fn):
+    """(fn() with the native loop, fn() with the Python one)."""
+    simengine._compile.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        fast = fn()
+        python_loop(mp)
+        slow = fn()
+    simengine._compile.cache_clear()
+    return fast, slow
 
 
 @pytest.fixture(scope="session")

@@ -169,7 +169,7 @@ def test_grad_check_every_bundled_learner_phase():
     # approx mode's bias is reported, not gated.  grad_check takes the
     # run's own-mode gradient, which a replay of the window must give back
     # bit for bit, with the phase's cost
-    exact, approx = [], []
+    exact, approx, cos = [], [], {"exact": [], "approx": []}
     for name, count in BUNDLED_LEARNER_PHASES.items():
         cfg = load_scenario(str(resources.files("preadaptive_control")
                                 / "scenarios" / f"{name}.yaml"))
@@ -185,9 +185,14 @@ def test_grad_check_every_bundled_learner_phase():
             modes = grad_check(cfg, i, 1e-5, result=res)["modes"]
             exact.append(modes["exact"]["max_rel_error"])
             approx.append(modes["approx"]["max_rel_error"])
+            for mode in cos:
+                cos[mode].append(modes[mode]["cos_to_fd"])
     print(f"GRADCHECK: {len(exact)} closed phases, exact-mode max rel error "
           f"{max(exact):.2e} (gate {_GRAD_CHECK_TOL:g}), approx-mode "
-          f"{min(approx):.2f}-{max(approx):.2f} (not gated)")
+          f"{min(approx):.2f}-{max(approx):.2f} (not gated); cos to fd: exact "
+          f"{min(cos['exact']):.4f}-{max(cos['exact']):.4f}, approx "
+          f"{min(cos['approx']):.4f}-{max(cos['approx']):.4f}, approx >= 0.998 in "
+          f"{sum(c >= 0.998 for c in cos['approx'])} of {len(exact)}")
     assert max(exact) < _GRAD_CHECK_TOL
 
 

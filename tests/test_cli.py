@@ -446,6 +446,7 @@ def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch,
 
     raised = []
     real_run = cli.run
+    real_fork = cli._TraceCsv._fork
 
     def run(cfg, on_rows=None):
         try:
@@ -454,9 +455,17 @@ def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch,
             raised.append(exc)
             raise
 
+    def fork(self, hi):
+        # the run may step its rows before a forked writer has failed: wait,
+        # without reaping it, until the writer has exited, so that the run's
+        # next chunk finds it
+        real_fork(self, hi)
+        os.waitid(os.P_PID, self.parts[-1][0], os.WEXITED | os.WNOWAIT)
+
     monkeypatch.setattr(cli, "_write_chunks", write_chunks)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli._TraceCsv, "_fork", fork)
     assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OUTPUT
     # the failed part stopped the run: it was seen while the run stepped
     assert [type(exc) for exc in raised] == [cli._PartFailed]

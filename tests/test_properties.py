@@ -6,7 +6,12 @@ The compiled run loop returns to Python at events, schedule pieces and
 chunk boundaries, so these edges meet in every combination.
 """
 
+import contextlib
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, target
@@ -23,6 +28,7 @@ from preadaptive_control import (
     RunConfig,
     SolverError,
     ThetaSchedule,
+    cli,
     default_config,
     detect_events,
     run,
@@ -31,7 +37,7 @@ from preadaptive_control import (
 from preadaptive_control.attention import velocity_estimator
 from preadaptive_control.simengine import _Stepper, build_controller
 
-from conftest import left_to_right_u
+from conftest import bits, both_loops, left_to_right_u
 
 CHUNK = 256
 DT = 1e-3
@@ -275,3 +281,42 @@ def test_rac_run_equals_a_row_loop_on_random_plants(cfg):
         assert np.array_equal(res.trace[key], again.trace[key])
     assert again.events == res.events
     assert _phase_rows(again) == _phase_rows(res)
+
+
+# --------------------------------------------------------------------------
+# learner runs and divergences on random plants, under both loops
+
+@st.composite
+def learner_configs(draw):
+    """rac_configs' runs with the learner on, in either gradient mode; a
+    huge reinit scale or start estimate makes some of them diverge."""
+    cfg = draw(rac_configs())
+    pre = PreadaptSettings(enabled=True, learner_enabled=True,
+                           gradient_mode=draw(st.sampled_from(list(GradientMode))),
+                           seed=draw(st.integers(0, 9)),
+                           init_scale=draw(st.sampled_from([0.5, 1e5])))
+    theta_hat0 = draw(st.sampled_from([0.0, -1e4])) * np.ones(cfg.plant.n)
+    return replace(cfg, preadapt=pre, theta_hat0=theta_hat0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=learner_configs())
+def test_learner_runs_equal_under_both_loops_on_random_plants(cfg):
+    fast, slow = both_loops(lambda: run(cfg))
+    target(float(len(fast.phase_reports)), label="phases")
+    target(float(fast.status == "diverged"), label="diverged")
+    assert bits(fast) == bits(slow)
+    if fast.status == "ok":
+        return
+    # a divergence truncates the trace after the failed step's first row,
+    # whose values are finite, and preadapt-ctl run exits 3 with that trace
+    rows = fast.error_step + 1
+    assert all(len(column) == rows for column in fast.trace.values())
+    assert all(np.isfinite(column).all() for column in fast.trace.values())
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(cli, "load_scenario", lambda path, overrides=None: cfg), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["run", "drawn.yaml", "--out", out]) == cli.EXIT_DIVERGED
+        with open(Path(out) / "trace.csv") as f:
+            assert sum(1 for _ in f) == 1 + rows
+    assert err.getvalue() == f"error: divergence at step {rows - 1}: {fast.error}\n"

@@ -457,15 +457,19 @@ def test_compiled_step_is_rk4_of_compiled_derivative(n, with_sens, exact):
 
 def test_equal_steppers_share_their_compiled_loops(monkeypatch):
     # a fresh stepper with the same numbers takes the loop compiled for the
-    # first and builds no source text; r = 0.0123456789 is no other test's
+    # first and builds no source text, C or Python; r = 0.0123456789 is no
+    # other test's
     built = []
-    real_source = simengine._segment_source
 
-    def source(st, *flags):
-        built.append(flags)
-        return real_source(st, *flags)
+    def recording(real_source):
+        def source(st, *flags):
+            built.append(flags)
+            return real_source(st, *flags)
+        return source
 
-    monkeypatch.setitem(simengine._SOURCES, "segment", source)
+    monkeypatch.setitem(simengine._SOURCES, "segment", recording(_segment_source))
+    monkeypatch.setattr(simengine, "_segment_c_source",
+                        recording(simengine._segment_c_source))
     cfg = default_config(1, r=0.0123456789)
     first, second = (_Stepper(cfg, *build_controller(cfg)) for _ in range(2))
     assert first == second and first is not second
@@ -676,6 +680,9 @@ def test_grad_check_report_is_pinned(learner1_result):
         -0.05882724778661809, 0.027280227778362007, 0.009784995190617561]
     assert report["modes"]["approx"]["grad"].tolist() == [
         -0.11896170722276975, 0.05508669544445263, 0.020035012120788624]
+    # approx has twice the scale and nearly the direction
+    assert report["modes"]["exact"]["cos_to_fd"] == 1.0
+    assert report["modes"]["approx"]["cos_to_fd"] == 0.9999980759545661
 
 
 def test_grad_check_report_does_not_depend_on_cpu_count(learner1_result, monkeypatch):
