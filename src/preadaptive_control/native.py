@@ -15,7 +15,10 @@ cached under ``$XDG_CACHE_HOME/preadaptive-control`` (else
 ``~/.cache/preadaptive-control``), a directory only its owner may write,
 keyed by the sha256 of the source, the flags and ``cc --version``.  It is
 built under a unique temporary name and published with ``os.replace``, so
-processes that build the same key at once each load a whole library.
+processes that build the same key at once each load a whole library.  A
+load marks its object used (its mtime), and a publish removes the least
+recently used objects past ``CACHE_OBJECTS``.  A loaded library stays
+mapped for the life of the process, as ctypes never unloads one.
 Without a compiler, or when a build fails, ``compiler`` or ``load`` raise
 BuildError saying why, and the caller runs its Python code.
 """
@@ -28,6 +31,8 @@ import stat
 _CC = "cc"
 #: No -ffast-math and no -march: IEEE double arithmetic as written.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: Objects the cache keeps, the most recently used: 15-52 kB each.
+CACHE_OBJECTS = 256
 #: Put before every source: a compiler that keeps doubles in extended
 #: precision (x87) would not round as Python does, so it builds nothing.
 _PRELUDE = """#include <float.h>
@@ -170,7 +175,8 @@ def cache_dir():
 
 
 def _build(source, path):
-    """Compile ``source`` to the shared object ``path``."""
+    """Compile ``source`` to the shared object ``path``, then prune the
+    cache."""
     import subprocess
     import tempfile
 
@@ -189,20 +195,45 @@ def _build(source, path):
         for name in (c_file, so_file):
             if os.path.exists(name):
                 os.unlink(name)
+    _prune(os.path.dirname(path))
 
 
-def load(source):
-    """The ctypes library of the C ``source``, built on its first use;
-    BuildError if it cannot be built or loaded."""
-    import ctypes
+def _prune(cache):
+    """Remove the cached objects past the ``CACHE_OBJECTS`` most recently
+    used.  A process that has one loaded keeps its mapping; one that is
+    about to load it finds it gone, and builds it again or runs Python."""
+    objects = []
+    for entry in os.scandir(cache):
+        if entry.name.endswith(".so"):
+            try:
+                objects.append((entry.stat().st_mtime_ns, entry.path))
+            except FileNotFoundError:   # pruned by another process
+                pass
+    for _, path in sorted(objects, reverse=True)[CACHE_OBJECTS:]:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+
+
+def load(source, build=True):
+    """The ctypes library of the C ``source``: the cached one, else, with
+    ``build``, one built now, else None.  BuildError if it cannot be built
+    or loaded."""
     import hashlib
 
     source = _PRELUDE + source
     key = "\0".join([source, _CC, *FLAGS, compiler()])
     try:
         path = os.path.join(cache_dir(), hashlib.sha256(key.encode()).hexdigest() + ".so")
-        if not os.path.exists(path):
+        try:
+            os.utime(path)   # used now: the last to be pruned
+        except FileNotFoundError:
+            if not build:
+                return None
             _build(source, path)
+        import ctypes   # 7 ms: not for a look that misses
+
         return ctypes.CDLL(path)
     except OSError as exc:
         raise BuildError(str(exc)) from exc

@@ -244,7 +244,8 @@ def default_config(scenario=1, preadapt=None, **overrides):
 # The run segment is also written as C from the same lines (native.py turns
 # each Python statement into C with Python's grouping and the same literals)
 # and compiled with IEEE semantics and no fused multiply-add, so it takes
-# the same bits; where no C compiler answers, the Python loop runs.
+# the same bits.  The Python loop runs until the C one would repay its
+# build (``_Loop``), and for good where no C compiler answers.
 
 
 def _sum(head, terms):
@@ -661,29 +662,93 @@ def _native_segment(st, lib, with_sens, exact_sens, live, settled):
     return segment
 
 
+#: Rows a loop variant steps in Python, in one process, before it looks for
+#: its native build in the cache (writing its C text, 3-14 ms), and before
+#: it builds one (0.14-0.19 s for a plain B-747 loop, 0.35-0.48 s with
+#: sensitivities), keyed by with_sens: about the rows the Python loop steps
+#: in that time (3-4 us a plain row, 11-12 us a row with sensitivities;
+#: x86_64, gcc 12).
+#: A run looks or builds only with at least as many rows left, which a
+#: native loop could then step instead, or once the process has stepped
+#: twice as many: a loop that runs in short stretches, such as the settled
+#: one in each of many runs, then repays it over the runs to come.
+_LOOKUP_ROWS = 10_000
+_BUILD_ROWS = {False: 50_000, True: 35_000}
+
+
+class _Loop:
+    """A variant of ``run``'s loop for equal steppers: the Python loop
+    (``_segment_source``) until it has stepped enough rows to repay the
+    native one (``_segment_c_source``), which then takes over.
+
+    Each variant pays for the native loop only once the Python loop has
+    spent about as long as that costs (renting until the rent adds up to
+    the price): first a look in the cache, then a build.  A process whose
+    variant steps fewer rows, such as a short run or a sweep over configs
+    that each run once, stays with the Python loop, and the C compiler is
+    not asked about.  ``native_error`` says why there is no native loop
+    where a lookup failed; from then on the Python loop is the variant's.
+    """
+
+    def __init__(self, stepper, flags):
+        self.stepper, self.flags = stepper, flags
+        self.rows = 0           # rows the Python loop has stepped
+        self.python = None
+        self.native = None
+        self.c_source = None    # written at the first lookup
+        self.native_error = None
+
+    def segment(self, rows_left):
+        if self.native is not None:
+            return self.native
+
+        def repaid(rows):
+            return self.rows >= rows and (rows_left >= rows or self.rows >= 2 * rows)
+
+        build = repaid(_BUILD_ROWS[self.flags[0]])
+        # one look in the cache, then, if it missed, one build
+        if (self.native_error is None and repaid(_LOOKUP_ROWS)
+                and (self.c_source is None or build)):
+            try:
+                if self.c_source is None:
+                    native.compiler()   # no C text is made without one
+                    self.c_source = _segment_c_source(self.stepper, *self.flags)
+                lib = native.load(self.c_source, build)
+            except native.BuildError as exc:
+                self.native_error = str(exc)
+                self.python = self._python()
+                self.python.native_error = self.native_error
+                self.c_source = None
+            else:
+                if lib is not None:
+                    self.native = _native_segment(self.stepper, lib, *self.flags)
+                    self.python = self.c_source = None
+                    return self.native
+        if self.python is None:
+            python = self._python()
+
+            def segment(y, theta, k, *args):
+                out = python(y, theta, k, *args)
+                self.rows += out[1] - k
+                return out
+
+            self.python = segment
+        return self.python
+
+    def _python(self):
+        return _compile(self.stepper, "segment", *self.flags)
+
+
 @functools.lru_cache(maxsize=64)
 def _compile(stepper, name, *flags):
-    """Function ``name`` of ``_SOURCES[name](stepper, *flags)``.  Cached by
-    the stepper's numbers and the flags, which fix the text, so the many
-    ``_Stepper``s of a sweep or a grad-check generate and compile each loop
-    once.
-
-    A ``segment`` is built as C (``_segment_c_source``) at its first use,
-    when a C compiler answers; where none does, or the build fails, it is
-    the Python loop, which gives the same bits, and its ``native_error``
-    says why."""
-    why = None
-    if name == "segment":
-        try:
-            native.compiler()   # no C text is made without one
-            lib = native.load(_segment_c_source(stepper, *flags))
-            return _native_segment(stepper, lib, *flags)
-        except native.BuildError as exc:
-            why = str(exc)
+    """Function ``name`` of ``_SOURCES[name](stepper, *flags)``, or with
+    ``name`` "loop" the ``_Loop`` of a segment.  Cached by the stepper's
+    numbers and the flags, which fix the text, so the many ``_Stepper``s of
+    a sweep or a grad-check generate, compile and count each loop once."""
+    if name == "loop":
+        return _Loop(stepper, flags)
     namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError}
     exec(_SOURCES[name](stepper, *flags), namespace)
-    if why is not None:
-        namespace[name].native_error = why
     return namespace[name]
 
 
@@ -726,9 +791,11 @@ class _Stepper:
         """The compiled ``u(y)``: the control a step from state ``y`` applies."""
         return _compile(self, "u")
 
-    def segment(self, with_sens, exact_sens, live, settled):
-        """The compiled ``segment`` of ``run``'s loop (``_segment_source``)."""
-        return _compile(self, "segment", with_sens, exact_sens, live, settled)
+    def segment(self, with_sens, exact_sens, live, settled, rows_left=math.inf):
+        """The ``segment`` of ``run``'s loop (``_segment_source``) to call
+        next, from a caller with at most ``rows_left`` rows to step: the
+        Python loop or the native one (``_Loop``)."""
+        return _compile(self, "loop", with_sens, exact_sens, live, settled).segment(rows_left)
 
     def reference_rest(self, xr):
         """x_r's RK4 stage-2..4 values, for a settled ``segment``, if the
@@ -1018,7 +1085,7 @@ def run(cfg, on_rows=None):
         # row 0's x_r is the configured x0, which no guard has checked yet
         if xr_stages is None and k > 0:
             xr_stages = stepper.reference_rest(y[n:2 * n])
-        segment = stepper.segment(sens.active, exact_sens, True, xr_stages is not None)
+        segment = stepper.segment(sens.active, exact_sens, True, xr_stages is not None, N - k)
         peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
                    else (0.0, 0.0))
         exc, k, e, edot, flags, peak, E, y = segment(

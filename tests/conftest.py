@@ -19,30 +19,40 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session", autouse=True)
 def native_cache(tmp_path_factory, pytestconfig):
-    """The native loops build into this session's own cache directory, and
-    with --python-loop not at all."""
+    """The native loops build into this session's own cache directory, at
+    each loop's first use, and with --python-loop not at all."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        eager_native(mp)
         if pytestconfig.getoption("--python-loop"):
             mp.setattr(native, "_CC", NO_CC)
         yield
+
+
+#: The Python rows after which a loop looks for its native object, and
+#: after which it builds one, as shipped.
+SHIPPED_ROWS = simengine._LOOKUP_ROWS, dict(simengine._BUILD_ROWS)
+
+
+def native_rows(monkeypatch, lookup, build):
+    """From here on (until monkeypatch undoes it) a loop looks for its
+    native object once its Python loop has stepped ``lookup`` rows, and
+    builds one after ``build`` rows (a dict keyed by with_sens)."""
+    monkeypatch.setattr(simengine, "_LOOKUP_ROWS", lookup)
+    monkeypatch.setattr(simengine, "_BUILD_ROWS", build)
+
+
+def eager_native(monkeypatch):
+    """From here on (until monkeypatch undoes it) a loop looks for and
+    builds its native object at its first use, not once its Python loop has
+    stepped enough rows to repay them."""
+    native_rows(monkeypatch, 0, {False: 0, True: 0})
 
 
 def python_loop(monkeypatch):
     """From here on (until monkeypatch undoes it) steppers compile the
     Python loop: the compiler is hidden and the compiled loops forgotten."""
     monkeypatch.setattr(native, "_CC", NO_CC)
-    simengine._compile.cache_clear()
-
-
-@pytest.fixture(params=["native", "python"])
-def loop(request, monkeypatch):
-    """Run the test with the native loop (where a compiler answers) and
-    with the Python one."""
-    simengine._compile.cache_clear()
-    if request.param == "python":
-        python_loop(monkeypatch)
-    yield request.param
     simengine._compile.cache_clear()
 
 
@@ -63,9 +73,11 @@ def bits(value):
 
 
 def both_loops(fn):
-    """(fn() with the native loop, fn() with the Python one)."""
+    """(fn() with the native loop from each loop's first use, fn() with
+    the Python one)."""
     simengine._compile.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
+        eager_native(mp)
         fast = fn()
         python_loop(mp)
         slow = fn()

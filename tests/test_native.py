@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -14,7 +15,8 @@ from preadaptive_control import default_config, grad_check, native, run, simengi
 from preadaptive_control.cli import load_scenario
 from preadaptive_control.simengine import _Stepper, build_controller
 
-from conftest import assert_no_child_left, bits, both_loops
+from conftest import (SHIPPED_ROWS, assert_no_child_left, bits, both_loops, native_rows,
+                      python_loop)
 
 BUNDLED = {"scenario1_rac": 0, "scenario1_learner": 2, "scenario2_rac": 0,
            "scenario2_learner": 5, "scenario3_rac": 0, "scenario3_learner": 7,
@@ -138,9 +140,31 @@ def test_build_is_cached_and_private(cache):
     (entry,) = os.listdir(cache)     # no temporary file left
     assert entry.endswith(".so")
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
-    mtime = os.stat(cache / entry).st_mtime_ns
+    built = os.stat(cache / entry)
+    os.utime(cache / entry, ns=(0, 0))
     assert _call(native.load(SOURCE)) == (7, 42.0)
-    assert os.stat(cache / entry).st_mtime_ns == mtime   # loaded, not rebuilt
+    again = os.stat(cache / entry)
+    assert again.st_ino == built.st_ino     # loaded, not rebuilt,
+    assert again.st_mtime_ns > 0            # and marked used
+
+
+def test_the_cache_keeps_the_most_recently_used(cache, monkeypatch):
+    # a publish past CACHE_OBJECTS removes the least recently used objects;
+    # a load without build takes the cached object, or gives None
+    monkeypatch.setattr(native, "CACHE_OBJECTS", 2)
+    sources = [SOURCE.replace("7", str(i)) for i in range(3)]
+    names = []
+    for i, source in enumerate(sources[:2]):
+        native.load(source)
+        (name,) = set(os.listdir(cache)) - set(names)
+        os.utime(cache / name, ns=(i + 1, i + 1))   # sources[0] the oldest
+        names.append(name)
+    assert native.load(sources[0], build=False) is not None   # used now
+    assert native.load(sources[2], build=False) is None
+    assert sorted(os.listdir(cache)) == sorted(names)
+    assert _call(native.load(sources[2])) == (2, 42.0)
+    left = os.listdir(cache)
+    assert len(left) == 2 and names[0] in left and names[1] not in left
 
 
 def test_a_cache_others_may_write_is_refused(cache):
@@ -208,6 +232,100 @@ def test_no_compiler_falls_back_with_its_reason(monkeypatch):
     assert not is_native(segment)
     assert segment.native_error.startswith(
         "no C compiler: 'preadapt-no-such-cc --version' failed: ")
+
+
+# --------------------------------------------------------------------------
+# when a loop goes native
+
+def short_run(r):
+    """A 3 s scenario-1 RAC run: 3,000 steps, all of them in the plain live
+    loop; ``r`` makes that loop no other test's."""
+    cfg = default_config(1, r=r)
+    return replace(cfg, schedule=replace(cfg.schedule, horizon=3.0))
+
+
+def loop_of(cfg):
+    stepper = _Stepper(cfg, *build_controller(cfg))
+    return simengine._compile(stepper, "loop", False, False, True, False)
+
+
+@pytest.fixture
+def by_rows(cache, monkeypatch):
+    """The default choice, on a scale of chunks: a look in the cache once
+    a loop has stepped 600 rows in Python, a build once it has stepped
+    1,200, each with as many rows left in the run."""
+    native_rows(monkeypatch, 600, {False: 1200, True: 1200})
+    simengine._compile.cache_clear()
+    yield cache
+    simengine._compile.cache_clear()
+
+
+def python_run(cfg, monkeypatch):
+    with monkeypatch.context() as mp:
+        python_loop(mp)
+        res = run(cfg)
+        assert loop_of(cfg).native is None
+    simengine._compile.cache_clear()
+    return bits(res)
+
+
+def test_a_loop_looks_then_builds_once_its_rows_repay_it(by_rows, monkeypatch):
+    # each call steps a 256-row chunk: the look after 768 rows misses, the
+    # build after 1,280 has 1,720 rows left to step natively
+    cfg = short_run(0.0345678)
+    want = python_run(cfg, monkeypatch)
+    assert bits(run(cfg)) == want
+    loop = loop_of(cfg)
+    assert loop.native is not None and loop.rows == 1280
+    (built,) = os.listdir(by_rows)
+    # another process finds the object at its look
+    simengine._compile.cache_clear()
+    assert bits(run(cfg)) == want
+    assert loop_of(cfg).native is not None and loop_of(cfg).rows == 768
+    assert os.listdir(by_rows) == [built]
+
+
+def test_a_run_builds_only_with_the_rows_left_to_repay_it(by_rows, monkeypatch):
+    # 2,000 rows repay a build: the first run reaches them with 952 rows
+    # left and stays Python; the next one builds at its first row
+    native_rows(monkeypatch, 600, {False: 2000, True: 2000})
+    cfg = short_run(0.0456789)
+    want = python_run(cfg, monkeypatch)
+    assert bits(run(cfg)) == want
+    assert loop_of(cfg).native is None and loop_of(cfg).rows == 3000
+    assert os.listdir(by_rows) == []    # looked at 768 rows, and missed
+    assert bits(run(cfg)) == want
+    assert loop_of(cfg).native is not None and loop_of(cfg).rows == 3000
+    assert len(os.listdir(by_rows)) == 1
+
+
+def test_a_loop_in_short_stretches_builds_after_twice_its_rows(by_rows, monkeypatch):
+    # 3,500 rows repay a build, more than a run has: the third run builds
+    # once the process has stepped 7,000 rows in Python, 1,024 rows in
+    native_rows(monkeypatch, 600, {False: 3500, True: 3500})
+    cfg = short_run(0.0567891)
+    want = python_run(cfg, monkeypatch)
+    for _ in range(2):
+        assert bits(run(cfg)) == want
+        assert loop_of(cfg).native is None
+    assert bits(run(cfg)) == want
+    assert loop_of(cfg).native is not None and loop_of(cfg).rows == 7024
+
+
+def test_a_short_run_asks_no_compiler(cache, monkeypatch):
+    # under the default rows a 3,000-step run keeps to Python: it writes no
+    # C, asks no compiler and builds nothing
+    native_rows(monkeypatch, *SHIPPED_ROWS)
+    monkeypatch.setattr(native, "compiler", lambda: pytest.fail("the compiler was asked"))
+    cfg = short_run(0.0678912)
+    simengine._compile.cache_clear()
+    try:
+        run(cfg)
+        loop = loop_of(cfg)
+        assert (loop.native, loop.c_source, loop.rows) == (None, None, 3000)
+    finally:
+        simengine._compile.cache_clear()
+    assert not cache.exists()
 
 
 def test_import_and_controller_build_nothing(tmp_path):

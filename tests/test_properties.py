@@ -14,6 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
@@ -37,10 +38,21 @@ from preadaptive_control import (
 from preadaptive_control.attention import velocity_estimator
 from preadaptive_control.simengine import _Stepper, build_controller
 
-from conftest import bits, both_loops, left_to_right_u
+from conftest import SHIPPED_ROWS, bits, both_loops, left_to_right_u, native_rows
 
 CHUNK = 256
 DT = 1e-3
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _native_by_rows():
+    # each drawn run is short and its plant's loop its own, as in a sweep
+    # over configs: the loops keep to Python until they would repay a build.
+    # test_learner_runs_equal_under_both_loops_on_random_plants runs the
+    # native loop on drawn plants
+    with pytest.MonkeyPatch.context() as mp:
+        native_rows(mp, *SHIPPED_ROWS)
+        yield
 
 
 @st.composite

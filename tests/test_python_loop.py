@@ -1,11 +1,11 @@
-"""The run-loop tests of test_simengine and test_properties, collected here
-once more and run under the Python loop.
+"""The run-loop tests of test_simengine, collected here once more and run
+under the Python loop.
 
-Under their own modules they run the native loop wherever a C compiler
+Under their own module they run the native loop wherever a C compiler
 answers; here the compiler is hidden, so every stepper compiles
 ``_segment_source``'s loop.  The guards, the frozen step, the truncated
-trace of a divergence, the shared compile cache and the run against a row
-loop on random plants are thus held to the same assertions under both.
+trace of a divergence and the shared compile cache are thus held to the
+same assertions under both.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 from preadaptive_control import simengine
 
 from conftest import python_loop
-from test_properties import test_rac_run_equals_a_row_loop_on_random_plants  # noqa: F401
 from test_simengine import (  # noqa: F401
     resting_stepper,
     stepper,
@@ -31,7 +30,7 @@ from test_simengine import (  # noqa: F401
 
 @pytest.fixture(scope="module", autouse=True)
 def _python_loop():
-    # module scope: Hypothesis refuses a function-scoped fixture
+    # module scope: the stepper fixtures, module-scoped, compile under it
     with pytest.MonkeyPatch.context() as mp:
         python_loop(mp)
         yield
@@ -42,3 +41,4 @@ def test_the_loops_here_are_pythons(stepper):
     segment = stepper.segment(False, False, True, False)
     assert segment.__qualname__ == "segment"
     assert segment.__code__.co_filename == "<string>"
+    assert segment.native_error.startswith("no C compiler: ")
