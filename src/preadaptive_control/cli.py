@@ -36,7 +36,6 @@ from .simengine import (
     _TRACE_CHUNK,
     PreadaptSettings,
     RunConfig,
-    _cpu_count,
     build_b747,
     compare,
     grad_check,
@@ -356,6 +355,13 @@ def _write_part_in_child(tmp, trace, lo, hi):
             os.pwrite(tmp.fileno(), f"{type(exc).__name__}: {exc}".encode(), 0)
     finally:
         os._exit(code)
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _PartFailed(RuntimeError):

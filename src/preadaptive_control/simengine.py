@@ -11,11 +11,7 @@ sensitivity blocks) with one RK4 step.
 import functools
 import math
 import numbers
-import os
-import pickle
-import signal
 import struct
-import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1198,158 +1194,6 @@ def compare(config_a, config_b):
 
 
 # --------------------------------------------------------------------------
-# independent work on every CPU
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _picklable(exc):
-    """``exc`` if a pickle round trip gives back its type and message, else
-    a RuntimeError that names it."""
-    try:
-        back = pickle.loads(pickle.dumps(exc))
-    except Exception:
-        back = None
-    if type(back) is type(exc) and str(back) == str(exc):
-        return exc
-    return RuntimeError(f"fork_map worker raised {type(exc).__name__}: {exc}")
-
-
-#: fork_map's tickets at most: 4 bytes each, 512 bytes in all, which is
-#: POSIX's least PIPE_BUF, so one write puts them whole into an empty pipe
-_TICKETS = 128
-
-
-def _pull(fn, items, tickets, per_ticket):
-    """Compute the items of each ticket this process reads from the pipe
-    ``tickets`` until it is empty or ``fn`` raises an Exception.  A ticket is
-    the index of its first item.  Returns ``({index: result}, None)`` or,
-    on an exception, ``({index: result}, (index, exception))``."""
-    done = {}
-    while ticket := os.read(tickets, 4):
-        start, = struct.unpack("I", ticket)
-        for i in range(start, min(start + per_ticket, len(items))):
-            try:
-                done[i] = fn(items[i])
-            except Exception as exc:
-                return done, (i, exc)
-    return done, None
-
-
-def _map_in_child(fn, items, tickets, per_ticket, fd):
-    """Body of a forked fork_map worker: ``_pull`` items, pickle what it
-    returns to the pipe ``fd``, then _exit.
-
-    os._exit skips the parent's stdio buffers and atexit hooks, which the
-    child inherited and must not flush or run.  The traceback of an
-    exception ``fn`` raises goes to stderr here; only its item's index, its
-    type and its message cross the pipe.
-    """
-    code = 1
-    try:
-        with os.fdopen(fd, "wb") as pipe:
-            done, failure = _pull(fn, items, tickets, per_ticket)
-            if failure is not None:
-                traceback.print_exception(failure[1])
-                failure = failure[0], _picklable(failure[1])
-            pipe.write(pickle.dumps((done, failure)))
-        code = 0
-    except Exception:   # a result that does not pickle: status 1 there
-        traceback.print_exc()
-    finally:
-        os._exit(code)
-
-
-def fork_map(fn, items):
-    """``[fn(x) for x in items]``, computed by one process per CPU.
-
-    This process and one forked worker per further CPU,
-    ``min(_cpu_count(), len(items))`` processes in all, pull the items in
-    index order: each takes the next unclaimed one whenever it is free, so
-    a caller that lists its longest items first gets longest-first list
-    scheduling (Graham, 1969).  The claims are 4-byte tickets, written into
-    a pipe before the first fork, whose write end is then closed, so a
-    process stops at the pipe's end.  Past ``_TICKETS`` items a ticket
-    stands for a run of consecutive ones.  Each worker pickles its results,
-    by index, to this process over a pipe, which is read to its end before
-    that worker, and only it, is waited for.
-
-    A process stops pulling at its first exception from ``fn``.  The
-    exception raised here is that of the lowest failing index, which the
-    loop would raise too: items are claimed in order, so each one below it
-    was claimed and computed.  A worker's exception keeps its type and
-    message (a RuntimeError naming it if it does not pickle), so a
-    DivergenceError keeps its exit code; a worker that exits without a
-    result raises RuntimeError with its status.  On any exception here,
-    KeyboardInterrupt included, every live worker is killed and reaped.
-    With one CPU, or without ``os.fork``, it is a plain loop.
-
-    A forked child holds only the thread that forked it, so ``fn`` must not
-    need a lock that another thread of the parent could hold at the fork.
-    grad_check's replays run the generated loop and call no BLAS routine;
-    a native loop is a call into the shared object the parent loaded (or
-    the worker builds), which takes no lock and calls no BLAS either.
-    A ``fn`` that does call BLAS after the parent has (the acceptance
-    criteria's seed runs, through build_controller) relies on the BLAS
-    re-creating its thread pool in a forked child, as OpenBLAS's atfork
-    handler does; under a BLAS without one, such a worker may hang.
-    """
-    items = list(items)
-    procs = min(_cpu_count(), len(items)) if hasattr(os, "fork") else 1
-    if procs < 2:
-        return [fn(x) for x in items]
-    per_ticket = -(-len(items) // _TICKETS)
-    starts = range(0, len(items), per_ticket)
-    tickets, feed = os.pipe()
-    workers = []   # [pid, pipe] of each worker, pid None once reaped
-    try:
-        try:
-            os.write(feed, struct.pack(f"{len(starts)}I", *starts))
-        finally:
-            os.close(feed)
-        for _ in range(1, procs):
-            r, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                _map_in_child(fn, items, tickets, per_ticket, wfd)
-            os.close(wfd)
-            workers.append([pid, os.fdopen(r, "rb")])
-        results, failure = _pull(fn, items, tickets, per_ticket)
-        failures = [] if failure is None else [failure]
-        for worker in workers:
-            pid, pipe = worker
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            worker[0] = None
-            if status != 0:
-                raise RuntimeError(f"fork_map worker exited with status "
-                                   f"{os.waitstatus_to_exitcode(status)}")
-            done, failure = pickle.loads(data)
-            results.update(done)
-            if failure is not None:
-                failures.append(failure)
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return [results[i] for i in range(len(items))]
-    finally:
-        for pid, pipe in workers:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            pipe.close()
-        os.close(tickets)
-
-
-# --------------------------------------------------------------------------
 # finite-difference gradient check
 
 def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
@@ -1428,14 +1272,12 @@ def grad_check(cfg, phase_index, delta, result=None):
     grads = {}
     if result.config is cfg and phase.grad is not None:
         grads[cfg.preadapt.gradient_mode] = phase.grad.copy()
-    # the sensitivity replays, the slow jobs, come first: fork_map's
-    # processes pull the jobs in order, so they start at once
     jobs = [(theta_I, mode) for mode in modes if mode not in grads]
     for j in range(n):
         bump = np.zeros(n)
         bump[j] = delta
         jobs += [(theta_I + bump, None), (theta_I - bump, None)]
-    replays = fork_map(lambda job: _replay_window(cfg, stepper, snap, steps, *job), jobs)
+    replays = [_replay_window(cfg, stepper, snap, steps, *job) for job in jobs]
     for (_, mode), (_, grad) in zip(jobs, replays):
         if mode is not None:
             grads[mode] = grad

@@ -43,7 +43,6 @@ from preadaptive_control.simengine import (
     _replay_window,
     _Stepper,
     build_controller,
-    fork_map,
 )
 
 from conftest import windowed_cost
@@ -66,11 +65,7 @@ def _phase_peaks(result):
 
 
 def _learner_peaks(scenario, seed):
-    """_phase_peaks of a learner run: all a criterion's seed loop keeps of it,
-    so no trace crosses fork_map's pipe.  Unlike grad_check's replays, these
-    runs call BLAS in the forked workers (build_controller), after this
-    process has: that holds only because the bundled OpenBLAS re-creates its
-    thread pool in a forked child (see fork_map)."""
+    """_phase_peaks of a learner run: all a criterion's seed loop keeps of it."""
     return _phase_peaks(run(default_config(scenario, preadapt=_learner_settings(seed))))
 
 
@@ -218,7 +213,7 @@ def test_criterion_5_scenario1_peak_reduction(rac1_result):
     rac_peak = _phase_peaks(rac1_result)[45.0]
     # a seed that opens no t=45 phase counts as no reduction
     reductions = [1.0 - peaks[45.0] / rac_peak if 45.0 in peaks else float("-inf")
-                  for peaks in fork_map(partial(_learner_peaks, 1), SEEDS)]
+                  for peaks in map(partial(_learner_peaks, 1), SEEDS)]
     best = max(reductions)
     wins = sum(red > 0.0 for red in reductions)
     hits = sum(red >= 0.30 for red in reductions)
@@ -231,7 +226,7 @@ def test_criterion_5_scenario1_peak_reduction(rac1_result):
 def test_criterion_6_scenario2_learning_transfer(rac2_result):
     rac_peaks = _phase_peaks(rac2_result)
     b_hits = c_hits = 0
-    for peaks in fork_map(partial(_learner_peaks, 2), SEEDS):
+    for peaks in map(partial(_learner_peaks, 2), SEEDS):
         b_hits += 70.0 in peaks and peaks[70.0] < rac_peaks[70.0]
         c_hits += all(j in peaks and peaks[j] < rac_peaks[j] for j in (95.0, 120.0))
     # (a) imposes no requirement at t=45; (b) and (c) must hold for a
@@ -257,7 +252,7 @@ def test_criterion_7_exact_vs_approximated_gradient(rac3_result):
     modes = (GradientMode.EXACT, GradientMode.APPROX)
     jobs = [(mode, seed) for mode in modes for seed in SEEDS]
     wins = dict.fromkeys((mode.value for mode in modes), 0)
-    for (mode, _), s in zip(jobs, fork_map(learner_cost, jobs)):
+    for (mode, _), s in zip(jobs, map(learner_cost, jobs)):
         wins[mode.value] += s < rac_sum
     ok = wins["exact"] >= 6 and wins["approx"] >= 6
     _verdict(7, ok, f"later-phase |e| integral beats RAC ({rac_sum:.3f}) in "

@@ -657,32 +657,20 @@ def test_cmd_grad_check_needs_preadapt():
     assert code == cli.EXIT_CONFIG
 
 
-def test_cmd_grad_check_divergence_in_a_worker_exits_3(short_scenario, monkeypatch,
-                                                       capsys):
-    # the forked worker's first replay diverges; this process's first replay
-    # waits until the worker has started one, so the worker gets a job
+def test_cmd_grad_check_divergence_in_a_replay_exits_3(short_scenario, monkeypatch,
+                                                      capsys):
+    # the second replay diverges, after the first has returned
     real_replay = simengine._replay_window
-    parent = os.getpid()
-    started_r, started_w = os.pipe()
-    waited = []
+    calls = []
 
     def replay(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
-        if os.getpid() != parent:
-            os.write(started_w, b"x")
-            raise DivergenceError(f"planted divergence in pid {os.getpid()}")
-        if not waited:
-            waited.append(os.read(started_r, 1))
+        calls.append(sens_mode)
+        if len(calls) == 2:
+            raise DivergenceError("planted divergence in replay 2")
         return real_replay(cfg, stepper, snapshot, steps, theta_I, sens_mode)
 
     monkeypatch.setattr(simengine, "_replay_window", replay)
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
-    forks = counting_forks(monkeypatch)
-    try:
-        code = cli.main(["grad-check", short_scenario, "--phase", "0"])
-    finally:
-        os.close(started_r)
-        os.close(started_w)
+    code = cli.main(["grad-check", short_scenario, "--phase", "0"])
     assert code == cli.EXIT_DIVERGED
-    assert len(forks) == 1
-    assert f"divergence: planted divergence in pid {forks[0]}" in capsys.readouterr().err
-    assert_no_child_left()
+    assert len(calls) == 2
+    assert "divergence: planted divergence in replay 2" in capsys.readouterr().err

@@ -1,8 +1,5 @@
 import hashlib
 import importlib.resources
-import os
-import struct
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -37,10 +34,9 @@ from preadaptive_control.simengine import (
     _replay_window,
     _segment_source,
     build_controller,
-    fork_map,
 )
 
-from conftest import assert_no_child_left, counting_forks, left_to_right_u
+from conftest import left_to_right_u
 
 
 @pytest.fixture(scope="module")
@@ -685,18 +681,6 @@ def test_grad_check_report_is_pinned(learner1_result):
     assert report["modes"]["approx"]["cos_to_fd"] == 0.9999980759545661
 
 
-def test_grad_check_report_does_not_depend_on_cpu_count(learner1_result, monkeypatch):
-    forks = counting_forks(monkeypatch)
-    reports = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
-        reports.append(repr(grad_check(learner1_result.config, 1, 1e-5,
-                                       result=learner1_result)))
-    assert reports[0] == reports[1]
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize("name", ["learner1_result", "exact18_result"])
 def test_grad_check_takes_the_runs_own_gradient(name, request, monkeypatch):
     # given its own run, grad-check replays the other mode and the 2n bumped
@@ -712,164 +696,9 @@ def test_grad_check_takes_the_runs_own_gradient(name, request, monkeypatch):
         return real_replay(cfg, stepper, snapshot, steps, theta_I, sens_mode)
 
     monkeypatch.setattr(simengine, "_replay_window", replay)
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 1)
     reused = repr(grad_check(cfg, 1, 1e-5, result=res))
     assert modes == [m for m in GradientMode if m is not own] + [None] * 6
     modes.clear()
     copied = replace(res, config=replace(cfg))
     assert repr(grad_check(cfg, 1, 1e-5, result=copied)) == reused
     assert modes == [GradientMode.EXACT, GradientMode.APPROX] + [None] * 6
-
-
-# --------------------------------------------------------------------------
-# forked map
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_fork_map_equals_the_loop(cpus, monkeypatch):
-    items = list(range(7))
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
-    forks = counting_forks(monkeypatch)
-    r, w = os.pipe()
-
-    def fn(x):
-        os.write(w, struct.pack("I", x))    # a record of each call, in any process
-        return x, x * x, os.getpid()
-
-    try:
-        out = fork_map(fn, items)
-    finally:
-        os.close(w)
-    with os.fdopen(r, "rb") as calls:
-        computed = sorted(struct.iter_unpack("I", calls.read()))
-    assert [o[:2] for o in out] == [(x, x * x) for x in items]
-    assert computed == [(x,) for x in items]    # each item exactly once
-    assert len(forks) == cpus - 1
-    assert {o[2] for o in out} <= {os.getpid(), *forks}
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("items", [[], [5], [5, 6]])
-def test_fork_map_with_more_cpus_than_items(items, monkeypatch):
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 4)
-    forks = counting_forks(monkeypatch)
-    assert fork_map(lambda x: -x, items) == [-x for x in items]
-    assert len(forks) == max(len(items) - 1, 0)
-    assert_no_child_left()
-
-
-def test_fork_map_without_fork_is_a_loop(monkeypatch):
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 4)
-    monkeypatch.delattr(os, "fork")
-    assert fork_map(lambda x: (x, os.getpid()), [1, 2, 3]) == [
-        (x, os.getpid()) for x in [1, 2, 3]]
-
-
-def test_fork_map_takes_more_items_than_a_pipe_holds_tickets(monkeypatch):
-    # 20,000 4-byte tickets would overfill a 64 KiB pipe
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
-    items = range(20_000)
-    assert fork_map(lambda x: -x, items) == [-x for x in items]
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_fork_map_raises_the_lowest_failing_item(cpus, monkeypatch):
-    # item 4 fails before item 2 does; the loop would raise item 2's
-    def fn(x):
-        if x == 2:
-            time.sleep(0.05)
-        if x in (2, 4):
-            raise ValueError(f"item {x}")
-        return x
-
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: cpus)
-    with pytest.raises(ValueError, match="^item 2$"):
-        fork_map(fn, range(7))
-    assert_no_child_left()
-
-
-@pytest.fixture
-def fails_in_a_worker():
-    """``make(exc)`` gives ``(fn, here)``: ``fn`` raises ``exc(x)`` at the
-    first item a forked worker takes, and returns its item in this process,
-    where its first call waits until a worker has taken one; ``here`` lists
-    the items this process computed."""
-    parent = os.getpid()
-    r, w = os.pipe()
-
-    def make(exc):
-        here = []
-
-        def fn(x):
-            if os.getpid() != parent:
-                os.write(w, b"x")
-                raise exc(x)
-            if not here:
-                os.read(r, 1)
-            here.append(x)
-            return x
-        return fn, here
-
-    yield make
-    os.close(r)
-    os.close(w)
-
-
-def test_fork_map_raises_a_worker_exception_as_itself(monkeypatch, capfd,
-                                                      fails_in_a_worker):
-    def diverge(x):
-        return DivergenceError(f"planted divergence at item {x}", t=1.5, component=2)
-
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 3)
-    forks = counting_forks(monkeypatch)
-    fn, here = fails_in_a_worker(diverge)
-    with pytest.raises(DivergenceError) as info:
-        fork_map(fn, range(6))
-    first = min(set(range(6)) - set(here))     # the workers' lowest item
-    assert str(info.value) == f"planted divergence at item {first}"
-    assert (info.value.t, info.value.component) == (1.5, 2)
-    # the worker printed its traceback, which does not cross the pipe
-    assert f"planted divergence at item {first}" in capfd.readouterr().err
-    assert len(forks) == 2
-    for pid in forks:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    assert_no_child_left()
-
-
-def test_fork_map_names_an_exception_that_does_not_pickle(monkeypatch, fails_in_a_worker):
-    class Local(Exception):
-        pass
-
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
-    fn, here = fails_in_a_worker(Local)
-    with pytest.raises(RuntimeError) as info:
-        fork_map(fn, range(2))
-    assert str(info.value) == f"fork_map worker raised Local: {1 - here[0]}"
-    assert_no_child_left()
-
-
-def test_fork_map_reports_a_worker_that_exits(monkeypatch, fails_in_a_worker):
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 2)
-    fn, _ = fails_in_a_worker(lambda x: os._exit(7))
-    with pytest.raises(RuntimeError, match="worker exited with status 7"):
-        fork_map(fn, range(2))
-    assert_no_child_left()
-
-
-def test_fork_map_kills_its_workers_on_an_error_here(monkeypatch):
-    parent = os.getpid()
-
-    def fn(x):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(simengine, "_cpu_count", lambda: 3)
-    forks = counting_forks(monkeypatch)
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        fork_map(fn, range(3))
-    assert time.monotonic() - t0 < 30
-    assert len(forks) == 2
-    assert_no_child_left()
