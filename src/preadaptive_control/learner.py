@@ -86,16 +86,12 @@ class SensitivityState:
     """Accumulators for one adaptation phase; inactive between phases."""
 
     n: int
-    S_e: np.ndarray = None
-    S_th: np.ndarray = None
     dE_dthI: np.ndarray = None
     E_acc: float = 0.0
     active: bool = False
     snapshot: PhaseSnapshot = None
 
     def activate(self, snapshot):
-        self.S_e = np.zeros((self.n, self.n))
-        self.S_th = np.eye(self.n)
         self.dE_dthI = np.zeros(self.n)
         self.E_acc = 0.0
         self.active = True

@@ -393,48 +393,19 @@ def _rk4_code(st, with_sens, exact_sens):
     return lines, out
 
 
-def _reference_targets(n):
-    """The locals ``_rk4_code``'s lines assign for x_r alone: its stage
-    states and its slopes, which depend on nothing but x_r."""
-    R = range(n)
-    return ({f"xr{j}_{stage}" for j in R for stage in (2, 3, 4)}
-            | {f"k{stage}_{n + j}" for j in R for stage in (1, 2, 3, 4)})
-
-
-def _target(line):
-    return line.split(" = ", 1)[0]
-
-
-def _reference_rest_source(st):
-    """Source of ``rest(xr)``: x_r's RK4 step alone, from ``_rk4_code``'s
-    lines for x_r.  Returns the new x_r and x_r's stage-2..4 values."""
-    n = st.n
-    lines, out = _rk4_code(st, False, False)
-    targets = _reference_targets(n)
-    xr = _state_names(n, False, "_1")[n:2 * n]
-    stages = [f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)]
-    body = ([_unpack(xr, "xr")] + [line for line in lines if _target(line) in targets]
-            + [f"return [{', '.join(out[n:2 * n])}], [{', '.join(stages)}]"])
-    return "def rest(xr):\n" + "".join(f"    {line}\n" for line in body)
-
-
-def _loop_parts(st, with_sens, exact_sens, settled):
+def _loop_parts(st, with_sens, exact_sens):
     """The code text of one row of ``run``'s loop, for both backends.
 
     Returns (y, lines, moving, book): the state locals; ``_rk4_code``'s
     lines; (local, expression) of each state component the step moves; and
     the row's bookkeeping before the step, a phase's peak |e| and cost (while
     ``tracking``) and with sensitivities the learner's ``gradient_code``
-    step.  ``settled`` leaves out x_r's stage states, slopes and update.
+    step.
     """
     n, iy = st.n, st.iy
     lines, out = _rk4_code(st, with_sens, exact_sens)
     y = _state_names(n, with_sens, "_1")
     moving = list(zip(y, out))
-    if settled:
-        targets = _reference_targets(n)
-        lines = [line for line in lines if _target(line) not in targets]
-        moving = moving[:n] + moving[2 * n:]
     dt = _literal(st.dt)
     book = ["a = abs(e)", "if a > peak:", "    peak = a", f"E += a * {dt}"]
     if with_sens:  # a phase is always open while the learner runs
@@ -444,11 +415,7 @@ def _loop_parts(st, with_sens, exact_sens, settled):
     return y, lines, moving, book
 
 
-def _settled_stages(n):
-    return [f"xr{j}_{stage}" for stage in (2, 3, 4) for j in range(n)]
-
-
-def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
+def _segment_source(st, with_sens, exact_sens, live=True):
     """Source of ``segment(...)``: ``run``'s loop over the steps between two
     returns to Python, with ``_rk4_code``'s step inlined.
 
@@ -469,21 +436,13 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     return.  Otherwise the loop is frozen, for a replay or ``_Stepper.step``:
     no trace row, no rate estimate (``edot`` stays) and no event.
 
-    ``settled``: x_r is a bit-exact fixed point of its RK4 step, so its four
-    stage values are constants; stages 2-4 come in ``xr_stages``, in
-    ``_reference_rest_source``'s order.  The loop leaves out x_r's stage
-    states, slopes and update, and its squares in the guard, which the same
-    values passed on an earlier row.
-
     ``_segment_c_source`` is the same loop in C, from the same code text.
     """
     n, iy = st.n, st.iy
-    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens, settled)
+    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens)
     dt = _literal(st.dt)
     state = "[" + ", ".join(y) + "]"
     head = [_unpack(y, "y"), _unpack([f"t{j}" for j in range(n)], "theta")]
-    if settled:
-        head.append(_unpack(_settled_stages(n), "xr_stages"))
     save = []
     if with_sens:
         dE = [f"dE{c}" for c in range(n)]
@@ -522,14 +481,14 @@ def _segment_source(st, with_sens, exact_sens, live=True, settled=False):
     loop += [f"if {ends}:", *(f"    {line}" for line in save),
              f"    return None, k, e, edot, ({flags}), peak, E, {state}"]
     return ("def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking,"
-            " rows, att, sens, xr_stages, check_bounded):\n"
+            " rows, att, sens, check_bounded):\n"
             + "".join(f"    {line}\n" for line in head + ["while True:"])
             + "".join(f"        {line}\n" for line in loop))
 
 
-def _segment_c_source(st, with_sens, exact_sens, live, settled):
+def _segment_c_source(st, with_sens, exact_sens, live):
     """C of ``_segment_source``'s loop: ``int segment(y, theta, k, stop,
-    next_start, f, flags, row, xr_stages)``.
+    next_start, f, flags, row)``.
 
     The row's bookkeeping, the RK4 step, the rate estimate and the crossing
     test are ``native.statements`` of the Python loop's code text; only the
@@ -545,7 +504,7 @@ def _segment_c_source(st, with_sens, exact_sens, live, settled):
     else 0.
     """
     n, iy = st.n, st.iy
-    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens, settled)
+    y, lines, moving, book = _loop_parts(st, with_sens, exact_sens)
     dt = _literal(st.dt)
     step, temps = native.statements(book + lines)
     move, _ = native.statements([f"{v} = {x}" for v, x in moving])
@@ -564,8 +523,6 @@ def _segment_c_source(st, with_sens, exact_sens, live, settled):
             "long long k = *k_io;",
             "int tracking = flags[0], in_dist = flags[1], in_dist0 = in_dist, failed = 0;",
             "double " + ", ".join(v for v in dict.fromkeys(temps + more) if v not in own) + ";"]
-    if settled:
-        head.append(declare(_settled_stages(n), "xr_stages"))
     limit = _literal(DIVERGENCE_LIMIT)
     bounded = " && ".join([f"isfinite({v})" for v in y]
                           + [f"fabs({v}) <= {limit}" for v in y[:3 * n]])
@@ -587,8 +544,7 @@ def _segment_c_source(st, with_sens, exact_sens, live, settled):
             + [f"f[{i}] = {v};" for i, v in enumerate(scalars + dE)]
             + ["*k_io = k;", "flags[1] = in_dist;", "return failed;"])
     return ("int segment(double *y, const double *theta, long long *k_io, long long stop,"
-            " double next_start, double *f, int *flags, double *row,"
-            " const double *xr_stages)\n{\n"
+            " double next_start, double *f, int *flags, double *row)\n{\n"
             + "".join(f"    {line}\n" for line in head + ["for (;;) {"])
             + "".join(f"        {line}\n" for line in loop)
             + "    }\n" + "".join(f"    {line}\n" for line in tail) + "}\n")
@@ -601,10 +557,10 @@ def _control_source(st):
 
 
 _SOURCES = {"f": _coupled_derivative_source, "segment": _segment_source,
-            "rest": _reference_rest_source, "u": _control_source}
+            "u": _control_source}
 
 
-def _native_segment(st, lib, with_sens, exact_sens, live, settled):
+def _native_segment(st, lib, with_sens, exact_sens, live):
     """``segment`` of ``_segment_source``'s signature and returns, over the C
     loop in ``lib`` (``_segment_c_source``).  A live loop writes its trace
     rows into ``rows.block`` (``_Rows``); on a failed guard, ``check_bounded``
@@ -614,15 +570,14 @@ def _native_segment(st, lib, with_sens, exact_sens, live, settled):
     n, dt = st.n, st.dt
     size = len(_state_names(n, with_sens, ""))
     Doubles, Scalars = ctypes.c_double * size, ctypes.c_double * (6 + n)
-    Theta, Stages, Flags = ctypes.c_double * n, ctypes.c_double * (3 * n), ctypes.c_int * 2
+    Theta, Flags = ctypes.c_double * n, ctypes.c_int * 2
     fn = lib.segment
     fn.restype = ctypes.c_int
     fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
-                   ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_void_p]
+                   ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
 
     def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking, rows, att,
-                sens, xr_stages, check_bounded):
+                sens, check_bounded):
         if len(y) != size or len(theta) != n:   # ctypes would pad a short one
             raise ValueError(f"a segment takes {size} states and {n} parameters")
         state = Doubles(*y)
@@ -632,8 +587,7 @@ def _native_segment(st, lib, with_sens, exact_sens, live, settled):
         flags = Flags(tracking, in_dist0)
         k_io = ctypes.c_longlong(k)
         failed = fn(state, Theta(*theta), ctypes.byref(k_io), stop, next_start, f, flags,
-                    rows.tail(stop - k) if live else None,
-                    None if xr_stages is None else Stages(*xr_stages))
+                    rows.tail(stop - k) if live else None)
         end, y = k_io.value, state[:]
         e, edot, peak, E = f[:4]
         if with_sens:
@@ -666,8 +620,9 @@ def _native_segment(st, lib, with_sens, exact_sens, live, settled):
 #: x86_64, gcc 12).
 #: A run looks or builds only with at least as many rows left, which a
 #: native loop could then step instead, or once the process has stepped
-#: twice as many: a loop that runs in short stretches, such as the settled
-#: one in each of many runs, then repays it over the runs to come.
+#: twice as many: a loop that runs in short stretches, such as the
+#: sensitivity loop of a late learner phase in each of many runs, then
+#: repays it over the runs to come.
 _LOOKUP_ROWS = 10_000
 _BUILD_ROWS = {False: 50_000, True: 35_000}
 
@@ -787,19 +742,11 @@ class _Stepper:
         """The compiled ``u(y)``: the control a step from state ``y`` applies."""
         return _compile(self, "u")
 
-    def segment(self, with_sens, exact_sens, live, settled, rows_left=math.inf):
+    def segment(self, with_sens, exact_sens, live, rows_left=math.inf):
         """The ``segment`` of ``run``'s loop (``_segment_source``) to call
         next, from a caller with at most ``rows_left`` rows to step: the
         Python loop or the native one (``_Loop``)."""
-        return _compile(self, "loop", with_sens, exact_sens, live, settled).segment(rows_left)
-
-    def reference_rest(self, xr):
-        """x_r's RK4 stage-2..4 values, for a settled ``segment``, if the
-        reference state ``xr`` is a bit-exact fixed point of its RK4 step,
-        else None.  The reference model is autonomous, so a fixed point
-        stays one."""
-        new, stages = _compile(self, "rest")(xr)
-        return stages if _bits(new) == _bits(xr) else None
+        return _compile(self, "loop", with_sens, exact_sens, live).segment(rows_left)
 
     def step(self, y, theta, with_sens=False, exact_sens=False, k=0):
         """One RK4 step of the coupled state ``y`` (3n states, plus the 2n x n
@@ -812,19 +759,13 @@ class _Stepper:
         """
         sens = SensitivityState(n=self.n)
         sens.activate(None)
-        exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens, False, False)(
+        exc, _, _, _, _, _, _, out = self.segment(with_sens, exact_sens, False)(
             y, [float(v) for v in theta], k, k + 1, math.inf, 0.0, 0.0, 0.0, 0.0,
-            False, None, None, sens, None, check_bounded,
+            False, None, None, sens, check_bounded,
         )
         if exc is not None:
             raise exc
         return out
-
-
-def _bits(values):
-    """The bytes of a list of floats: equal lists of bits, -0.0 and NaNs told
-    apart."""
-    return struct.pack(f"{len(values)}d", *values)
 
 
 # --------------------------------------------------------------------------
@@ -871,14 +812,10 @@ def _sensitivity_start(n):
 
 
 def _store_sensitivities(sens, y, phase):
-    """Move the flat sensitivities off the end of ``y`` into S_e and S_th,
-    and take the learner's cost from ``phase``: the loop adds the same
-    terms to both, so it keeps one sum."""
-    n = sens.n
-    flat = np.array(y[3 * n:])
-    del y[3 * n:]
-    sens.S_e = flat[:n * n].reshape(n, n)
-    sens.S_th = flat[n * n:].reshape(n, n)
+    """Drop the flat sensitivities off the end of ``y`` and take the
+    learner's cost from ``phase``: the loop adds the same terms to both, so
+    it keeps one sum."""
+    del y[3 * sens.n:]
     sens.E_acc = phase.E_phase
 
 
@@ -911,7 +848,8 @@ class _Rows(list):
 
     def _flush(self):
         if self:
-            new = np.frombuffer(_bits(self)).reshape(-1, self.block.shape[1])
+            new = np.frombuffer(struct.pack(f"{len(self)}d", *self))
+            new = new.reshape(-1, self.block.shape[1])
             self.block[self.count:self.count + len(new)] = new
             self.count += len(new)
             self.clear()
@@ -1002,7 +940,6 @@ def run(cfg, on_rows=None):
     }
     rows = _Rows(3 * n + 3)     # the rows not yet written to the trace
     written = 0
-    xr_stages = None    # x_r's stage values once it is at its fixed point
     pieces = []         # (first step, theta) of each schedule piece reached
     next_start = -math.inf   # theta_at runs again once t reaches this
 
@@ -1078,15 +1015,12 @@ def run(cfg, on_rows=None):
             written = _write_rows(trace, rows, written, pieces, n)
             if on_rows is not None:
                 on_rows(trace, written)
-        # row 0's x_r is the configured x0, which no guard has checked yet
-        if xr_stages is None and k > 0:
-            xr_stages = stepper.reference_rest(y[n:2 * n])
-        segment = stepper.segment(sens.active, exact_sens, True, xr_stages is not None, N - k)
+        segment = stepper.segment(sens.active, exact_sens, True, N - k)
         peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
                    else (0.0, 0.0))
         exc, k, e, edot, flags, peak, E, y = segment(
             y, theta_floats, k, min(written + _TRACE_CHUNK, N), next_start, e, edot,
-            peak, E, tracking, rows, att, sens, xr_stages, check_bounded,
+            peak, E, tracking, rows, att, sens, check_bounded,
         )
         if tracking:
             open_phase.peak_abs_e, open_phase.E_phase = peak, E
@@ -1216,18 +1150,12 @@ def _replay_window(cfg, stepper, snapshot, steps, theta_I, sens_mode=None):
     sens.activate(snapshot)
     k, stop = snapshot.step, snapshot.step + steps
     e, E = y[iy] - y[n + iy], 0.0
-    next_start = -math.inf
-    xr_stages = None
-    while k < stop:
-        if next_start <= k * dt:
-            theta = theta_at(cfg.schedule, k * dt).tolist()
-            next_start = _next_piece_start(cfg.schedule, k * dt)
-        if xr_stages is None:
-            xr_stages = stepper.reference_rest(y[n:2 * n])
-        segment = stepper.segment(with_sens, exact_sens, False, xr_stages is not None)
+    while k < stop:     # the segment returns at the end or a schedule piece
+        t = k * dt
+        segment = stepper.segment(with_sens, exact_sens, False)
         exc, k, e, _, _, _, E, y = segment(
-            y, theta, k, min(k + _TRACE_CHUNK, stop), next_start, e, 0.0, 0.0, E,
-            True, None, None, sens, xr_stages, check_bounded,
+            y, theta_at(cfg.schedule, t).tolist(), k, stop, _next_piece_start(cfg.schedule, t),
+            e, 0.0, 0.0, E, True, None, None, sens, check_bounded,
         )
         if exc is not None:
             raise exc

@@ -57,7 +57,7 @@ def test_bundled_runs_and_grad_checks_equal_under_both_loops(name, compiler):
         res = run(cfg)
         closed = [p for p in res.phases if p.recovered and p.snapshot is not None]
         reports = [grad_check(cfg, i, 1e-5, result=res) for i in range(len(closed))]
-        return bits(res), bits(reports), is_native(stepper.segment(False, False, True, False))
+        return bits(res), bits(reports), is_native(stepper.segment(False, False, True))
 
     (run_bits, report_bits, was_native), slow = both_loops(outputs)
     assert (was_native, slow[2]) == (compiler, False)
@@ -212,7 +212,7 @@ def test_a_failing_build_falls_back_to_the_python_loop(cache, tmp_path, monkeypa
     monkeypatch.setattr(native, "_CC", str(fake))
     try:
         stepper = _Stepper(cfg, *build_controller(cfg))
-        segment = stepper.segment(False, False, True, False)
+        segment = stepper.segment(False, False, True)
         assert not is_native(segment)
         assert segment.native_error.startswith(f"'{fake}' exited with 1: ")
         assert segment.native_error.endswith("fake-cc: cannot build")
@@ -226,7 +226,7 @@ def test_no_compiler_falls_back_with_its_reason(monkeypatch):
     cfg = default_config(1)
     simengine._compile.cache_clear()
     try:
-        segment = _Stepper(cfg, *build_controller(cfg)).segment(True, True, False, False)
+        segment = _Stepper(cfg, *build_controller(cfg)).segment(True, True, False)
     finally:
         simengine._compile.cache_clear()
     assert not is_native(segment)
@@ -246,7 +246,7 @@ def short_run(r):
 
 def loop_of(cfg):
     stepper = _Stepper(cfg, *build_controller(cfg))
-    return simengine._compile(stepper, "loop", False, False, True, False)
+    return simengine._compile(stepper, "loop", False, False, True)
 
 
 @pytest.fixture

@@ -128,29 +128,11 @@ def test_event_bookkeeping_on_random_schedules(schedule, pre):
     assert all(np.array_equal(tr["theta"][k], theta_at(schedule, tr["t"][k]))
                for k in range(rows))
 
-    # x, x_r and theta_hat of every row are the RK4 step of the row before,
-    # except theta_hat at an onset, which preadaptation reinitializes
-    stepper = _Stepper(cfg, *build_controller(cfg))
-    state = np.hstack([tr["x"], tr["x_r"], tr["theta_hat"]])
-    onsets = set(_rows_from(tr, "Eu"))
-    for k in range(1, rows):
-        want = stepper.step(state[k - 1].tolist(), tr["theta"][k - 1], False, False,
-                            k - 1)
-        got = state[k].tolist()
-        if k in onsets:
-            assert got[:2 * cfg.plant.n] == want[:2 * cfg.plant.n]
-        else:
-            assert got == want
+    _check_steps_and_reference(res)
 
     # u of every row, the horizon row's included, is the control its step
     # applied, summed left to right
     assert tr["u"].tolist() == left_to_right_u(res)
-
-    # the reference model does not see preadaptation: x_r is bit for bit
-    # that of the same config under the default (disabled) preadapt settings
-    rac = run(replace(cfg, preadapt=PreadaptSettings()))
-    both = min(rows, len(rac.trace["t"]))
-    assert bits(tr["x_r"][:both]) == bits(rac.trace["x_r"][:both])
 
     # the same config gives the same run
     again = run(cfg)
@@ -158,6 +140,31 @@ def test_event_bookkeeping_on_random_schedules(schedule, pre):
         assert np.array_equal(tr[key], again.trace[key])
     assert _phase_rows(again) == _phase_rows(res)
     assert repr(again.phase_reports) == repr(res.phase_reports)
+
+
+def _check_steps_and_reference(res):
+    """x, x_r and theta_hat of every row of ``res`` are, bit for bit, the
+    ``_Stepper.step`` of the row before, except theta_hat on an E_u row,
+    which preadaptation reinitializes; and the reference model does not see
+    preadaptation: x_r is bit for bit that of the same config under the
+    default (disabled) preadapt settings, over the rows both runs hold.  A
+    diverged run's trace ends at its error_step, the first row of the step
+    that failed, so only the steps the guard passed are checked."""
+    cfg, tr = res.config, res.trace
+    n, rows = cfg.plant.n, len(tr["t"])
+    assert res.error_step in (None, rows - 1)
+    stepper = _Stepper(cfg, *build_controller(cfg))
+    state = np.hstack([tr["x"], tr["x_r"], tr["theta_hat"]])
+    stepped = np.array([stepper.step(state[k].tolist(), tr["theta"][k], False, False, k)
+                        for k in range(rows - 1)]).reshape(-1, 3 * n)
+    for k in _rows_from(tr, "Eu"):
+        if k > 0:
+            stepped[k - 1, 2 * n:] = state[k, 2 * n:]
+    assert bits(stepped) == bits(state[1:])
+
+    rac = run(replace(cfg, preadapt=PreadaptSettings()))
+    both = min(rows, len(rac.trace["t"]))
+    assert bits(tr["x_r"][:both]) == bits(rac.trace["x_r"][:both])
 
 
 def _phase_rows(res):
@@ -319,6 +326,7 @@ def test_learner_runs_equal_under_both_loops_on_random_plants(cfg):
     target(float(len(fast.phase_reports)), label="phases")
     target(float(fast.status == "diverged"), label="diverged")
     assert bits(fast) == bits(slow)
+    _check_steps_and_reference(fast)
     if fast.status == "ok":
         return
     # a divergence truncates the trace after the failed step's first row,

@@ -38,7 +38,7 @@ def _python_loop():
 
 
 def test_the_loops_here_are_pythons(stepper):
-    segment = stepper.segment(False, False, True, False)
+    segment = stepper.segment(False, False, True)
     assert segment.__qualname__ == "segment"
     assert segment.__code__.co_filename == "<string>"
     assert segment.native_error.startswith("no C compiler: ")

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.resources
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,6 @@ from preadaptive_control import (
     RunConfig,
     ThetaSchedule,
     adaptation_derivative,
-    cli,
     control_input,
     compare_results,
     default_config,
@@ -297,31 +295,9 @@ def test_reference_trajectory_independent_of_variant(rac1_result, learner1_resul
     assert np.array_equal(rac1_result.trace["x_r"], learner1_result.trace["x_r"])
 
 
-# --------------------------------------------------------------------------
-# the settled reference: x_r at a bit-exact fixed point of its RK4 step
-
-def test_reference_settles_at_row_45045(rac1_result, stepper):
-    # the finder returns x_r's stage-2..4 values, computed here from the
-    # compiled derivative, from the row on which x_r stops moving
-    xr = rac1_result.trace["x_r"]
-    assert stepper.reference_rest(xr[45044].tolist()) is None
-    assert not np.array_equal(xr[45044], xr[45045])
-    assert (xr[45045:].view(np.int64) == xr[45045].view(np.int64)).all()
-    f = stepper.derivative(False, False)
-
-    def slope(v):
-        return f([0.0] * 3 + v + [0.0] * 3, [0.0] * 3)[3:6]
-
-    rest, h = xr[45045].tolist(), 0.5 * stepper.dt
-    s2 = [a + h * b for a, b in zip(rest, slope(rest))]
-    s3 = [a + h * b for a, b in zip(rest, slope(s2))]
-    s4 = [a + stepper.dt * b for a, b in zip(rest, slope(s3))]
-    assert stepper.reference_rest(rest) == s2 + s3 + s4
-
-
-def test_run_that_never_settles_is_the_head_of_one_that_does(learner1_result):
-    # 40 s end before x_r settles at row 45,045; the 60-s run steps its last
-    # 14,955 rows with the settled loop
+def test_a_shorter_horizon_runs_the_head_of_the_longer_run(learner1_result):
+    # the same learner config cut at 40 s: its trace, events, phases and
+    # reports are the first 40 s of the 60-s run's
     pre = learner1_result.config.preadapt
     sched = learner1_result.config.schedule
     short = run(default_config(1, preadapt=pre, schedule=ThetaSchedule(
@@ -333,40 +309,6 @@ def test_run_that_never_settles_is_the_head_of_one_that_does(learner1_result):
     assert len(closed) == len(short.phases) == 2
     assert repr(short.phases) == repr(learner1_result.phases[:2])
     assert repr(short.phase_reports) == repr(learner1_result.phase_reports[:2])
-
-
-@pytest.mark.parametrize("name", ["scenario2_learner.yaml", "scenario3_learner.yaml"])
-def test_settled_reference_leaves_runs_and_replays_unchanged(name, monkeypatch):
-    # the phases that open after t = 45 s replay through the settled loop;
-    # with the finder made never to settle, the run and the grad-check
-    # reports of those phases are the same
-    cfg = cli.load_scenario(
-        str(importlib.resources.files("preadaptive_control") / "scenarios" / name))
-    real_rest = simengine._Stepper.reference_rest
-    found = []
-
-    def spy(self, xr):
-        stages = real_rest(self, xr)
-        found.append(stages is not None)
-        return stages
-
-    def results():
-        res = run(cfg)
-        closed = [p for p in res.phases if p.recovered and p.snapshot is not None]
-        late = [i for i, p in enumerate(closed) if p.t_u > 45.0]
-        assert late
-        return res, [repr(grad_check(cfg, i, 1e-5, result=res)) for i in late]
-
-    monkeypatch.setattr(simengine._Stepper, "reference_rest", spy)
-    settled, reports = results()
-    assert any(found)
-    monkeypatch.setattr(simengine._Stepper, "reference_rest", lambda self, xr: None)
-    unsettled, unsettled_reports = results()
-    for key, column in settled.trace.items():
-        assert np.array_equal(column, unsettled.trace[key])
-    assert repr(settled.phases) == repr(unsettled.phases)
-    assert repr(settled.phase_reports) == repr(unsettled.phase_reports)
-    assert unsettled_reports == reports
 
 
 def test_divergence_truncates_trace_and_reports():
@@ -469,9 +411,8 @@ def test_equal_steppers_share_their_compiled_loops(monkeypatch):
     cfg = default_config(1, r=0.0123456789)
     first, second = (_Stepper(cfg, *build_controller(cfg)) for _ in range(2))
     assert first == second and first is not second
-    assert (first.segment(True, False, False, True)
-            is second.segment(True, False, False, True))
-    assert built == [(True, False, False, True)]
+    assert first.segment(True, False, False) is second.segment(True, False, False)
+    assert built == [(True, False, False)]
     # the numbers are told apart by their reprs, so -0.0 is not 0.0
     zero, minus_zero = (_Stepper(c, *build_controller(c))
                         for c in (default_config(1, r=0.0), default_config(1, r=-0.0)))
