@@ -415,6 +415,37 @@ def _loop_parts(st, with_sens, exact_sens):
     return y, lines, moving, book
 
 
+#: Trace rows held as Python floats at a time: by the Python loop between
+#: returns, and by cli's writer per `%` operation, where whole-trace tolist()
+#: would hold every value of the trace as a Python object at once.
+_TRACE_CHUNK = 256
+
+#: The trace columns a live segment writes its rows into, in this order.
+_TRACE_COLUMNS = ("x", "x_r", "theta_hat", "e", "edot_hat", "u")
+
+
+def _land(columns, rows, start):
+    """Write the flat trace ``rows`` (x, x_r, theta_hat, e, edot_hat, u each)
+    into the ``_TRACE_COLUMNS`` arrays ``columns`` from row ``start``."""
+    n = columns[0].shape[1]
+    block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows)).reshape(-1, 3 * n + 3)
+    stop = start + len(block)
+    for column, lo in zip(columns, (0, n, 2 * n, 3 * n, 3 * n + 1, 3 * n + 2)):
+        column[start:stop] = block[:, lo:lo + n] if column.ndim == 2 else block[:, lo]
+
+
+def _require_columns(columns, n, k, stop):
+    """ValueError unless ``columns`` are the ``_TRACE_COLUMNS`` as writable,
+    C-contiguous float64 arrays, of n values a row for x, x_r and theta_hat,
+    with room for a segment's rows k to ``stop``."""
+    rows = [(n,)] * 3 + [()] * 3     # the shape of a row of each column
+    if not (0 <= k < stop and len(columns) == len(rows) and all(
+            isinstance(c, np.ndarray) and c.dtype == np.float64 and c.flags.c_contiguous
+            and c.flags.writeable and c.shape[:1] >= (stop,) and c.shape[1:] == row
+            for c, row in zip(columns, rows))):
+        raise ValueError(f"the trace columns cannot take rows {k} to {stop}")
+
+
 def _segment_source(st, with_sens, exact_sens, live=True):
     """Source of ``segment(...)``: ``run``'s loop over the steps between two
     returns to Python, with ``_rk4_code``'s step inlined.
@@ -429,12 +460,15 @@ def _segment_source(st, with_sens, exact_sens, live=True):
     The gradient is kept in locals and written back to ``sens.dE_dthI`` on
     every return.
 
-    ``live``: the run's loop.  It buffers each trace row before the state
+    ``live``: the run's loop.  It keeps each trace row before the state
     moves, then updates the rate estimate and runs the crossing test of row
     k + 1 from attention's code text, and returns on an event too.  It keeps
-    the detector state in locals and writes it back to ``att`` on every
-    return.  Otherwise the loop is frozen, for a replay or ``_Stepper.step``:
-    no trace row, no rate estimate (``edot`` stays) and no event.
+    the detector state in locals and writes it back to ``att``, and its
+    rows (the failed one included) to the ``_TRACE_COLUMNS`` ``trace``, on
+    every return; it returns at each multiple of ``_TRACE_CHUNK`` too, so
+    that it holds at most one chunk of rows.  Otherwise the loop is frozen,
+    for a replay or ``_Stepper.step``: no trace row, no rate estimate
+    (``edot`` stays) and no event.
 
     ``_segment_c_source`` is the same loop in C, from the same code text.
     """
@@ -454,8 +488,10 @@ def _segment_source(st, with_sens, exact_sens, live=True):
                  "att.e_prev, att.e_track, att.in_disturbance, att.events",
                  "in_dist0 = in_dist"]
         flags = EVENT_FLAGS
-        save.append("att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = "
-                    "e_prev, edot, e_track, in_dist")
+        head += [f"stop = min(stop, k - k % {_TRACE_CHUNK} + {_TRACE_CHUNK})",
+                 "start, rows = k, []"]
+        save += ["att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = "
+                 "e_prev, edot, e_track, in_dist", "land(trace, rows, start)"]
         # the trace row takes the control stage 1 applied
         lines = lines + [f"rows += ({', '.join(y[:3 * n])}, e, edot, u_1)"]
     # each new component depends only on its own old one and the slopes, so
@@ -481,23 +517,23 @@ def _segment_source(st, with_sens, exact_sens, live=True):
     loop += [f"if {ends}:", *(f"    {line}" for line in save),
              f"    return None, k, e, edot, ({flags}), peak, E, {state}"]
     return ("def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking,"
-            " rows, att, sens, check_bounded):\n"
+            " trace, att, sens, check_bounded):\n"
             + "".join(f"    {line}\n" for line in head + ["while True:"])
             + "".join(f"        {line}\n" for line in loop))
 
 
 def _segment_c_source(st, with_sens, exact_sens, live):
     """C of ``_segment_source``'s loop: ``int segment(y, theta, k, stop,
-    next_start, f, flags, row)``.
+    next_start, f, flags, trace)``.
 
     The row's bookkeeping, the RK4 step, the rate estimate and the crossing
     test are ``native.statements`` of the Python loop's code text; only the
     skeleton is written here.  ``y`` (the state), ``k``, ``f`` (e, edot,
     peak, E, e_prev, e_track, then dE/dtheta_I) and ``flags`` (tracking,
     in_dist) are read at entry and written back at the return.  The live
-    loop writes its trace rows one after another from ``row``, and returns
-    on an event, which the caller then appends to the event list in place
-    of the crossing test's ``events.append``.  The guard is
+    loop writes row k at index k of each ``_TRACE_COLUMNS`` array ``trace[i]``,
+    and returns on an event, which the caller then appends to the event list
+    in place of the crossing test's ``events.append``.  The guard is
     ``check_bounded``'s test: every component finite and the first 3n
     within DIVERGENCE_LIMIT.  It returns 1 when the guard fails, with k the
     row the failed step started from and ``y`` the state the step made,
@@ -527,8 +563,9 @@ def _segment_c_source(st, with_sens, exact_sens, live):
     bounded = " && ".join([f"isfinite({v})" for v in y]
                           + [f"fabs({v}) <= {limit}" for v in y[:3 * n]])
     # the trace row takes the control stage 1 applied
-    record = [f"row[{i}] = {v};" for i, v in enumerate(y[:3 * n] + ["e", "edot", "u_1"])]
-    loop = step + (record + [f"row += {3 * n + 3};"] if live else []) + move + [
+    record = ([f"trace[{i // n}][k * {n} + {i % n}] = {v};" for i, v in enumerate(y[:3 * n])]
+              + [f"trace[{3 + i}][k] = {v};" for i, v in enumerate(["e", "edot", "u_1"])])
+    loop = step + (record if live else []) + move + [
         f"if (!({' + '.join(f'{v} * {v}' for v, _ in moving)} <= "
         f"{_literal(DIVERGENCE_LIMIT ** 2)}) && !({bounded})) {{",
         "    failed = 1;",
@@ -544,7 +581,7 @@ def _segment_c_source(st, with_sens, exact_sens, live):
             + [f"f[{i}] = {v};" for i, v in enumerate(scalars + dE)]
             + ["*k_io = k;", "flags[1] = in_dist;", "return failed;"])
     return ("int segment(double *y, const double *theta, long long *k_io, long long stop,"
-            " double next_start, double *f, int *flags, double *row)\n{\n"
+            " double next_start, double *f, int *flags, double *const *trace)\n{\n"
             + "".join(f"    {line}\n" for line in head + ["for (;;) {"])
             + "".join(f"        {line}\n" for line in loop)
             + "    }\n" + "".join(f"    {line}\n" for line in tail) + "}\n")
@@ -562,24 +599,27 @@ _SOURCES = {"f": _coupled_derivative_source, "segment": _segment_source,
 
 def _native_segment(st, lib, with_sens, exact_sens, live):
     """``segment`` of ``_segment_source``'s signature and returns, over the C
-    loop in ``lib`` (``_segment_c_source``).  A live loop writes its trace
-    rows into ``rows.block`` (``_Rows``); on a failed guard, ``check_bounded``
-    raises from the state the C loop returns, as in the Python loop."""
+    loop in ``lib`` (``_segment_c_source``), which writes a live loop's rows
+    into ``trace`` once ``_require_columns`` has passed it; on a failed guard,
+    ``check_bounded`` raises from the state the C loop returns, as in Python."""
     import ctypes
 
     n, dt = st.n, st.dt
     size = len(_state_names(n, with_sens, ""))
     Doubles, Scalars = ctypes.c_double * size, ctypes.c_double * (6 + n)
     Theta, Flags = ctypes.c_double * n, ctypes.c_int * 2
+    Columns = ctypes.c_void_p * len(_TRACE_COLUMNS)
     fn = lib.segment
     fn.restype = ctypes.c_int
     fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong,
                    ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
 
-    def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking, rows, att,
+    def segment(y, theta, k, stop, next_start, e, edot, peak, E, tracking, trace, att,
                 sens, check_bounded):
         if len(y) != size or len(theta) != n:   # ctypes would pad a short one
             raise ValueError(f"a segment takes {size} states and {n} parameters")
+        if live:
+            _require_columns(trace, n, k, stop)
         state = Doubles(*y)
         detector = (att.e_prev, att.e_track) if live else (0.0, 0.0)
         f = Scalars(e, edot, peak, E, *detector, *(sens.dE_dthI if with_sens else ()))
@@ -587,13 +627,12 @@ def _native_segment(st, lib, with_sens, exact_sens, live):
         flags = Flags(tracking, in_dist0)
         k_io = ctypes.c_longlong(k)
         failed = fn(state, Theta(*theta), ctypes.byref(k_io), stop, next_start, f, flags,
-                    rows.tail(stop - k) if live else None)
+                    Columns(*(c.ctypes.data for c in trace)) if live else None)
         end, y = k_io.value, state[:]
         e, edot, peak, E = f[:4]
         if with_sens:
             sens.dE_dthI[:] = f[6:]
         if live:
-            rows.count += end - k + failed
             in_dist = bool(flags[1])
             att.e_prev, att.edot_hat, att.e_track, att.in_disturbance = (
                 f[4], edot, f[5], in_dist)
@@ -698,7 +737,8 @@ def _compile(stepper, name, *flags):
     a sweep or a grad-check generate, compile and count each loop once."""
     if name == "loop":
         return _Loop(stepper, flags)
-    namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError}
+    namespace = {"inf": math.inf, "nan": math.nan, "DivergenceError": DivergenceError,
+                 "land": _land}
     exec(_SOURCES[name](stepper, *flags), namespace)
     return namespace[name]
 
@@ -828,79 +868,19 @@ def _next_piece_start(schedule, t):
     return math.inf
 
 
-#: Trace rows handled as Python floats at a time: buffered between writes to
-#: the trace arrays here, and formatted per `%` operation by cli's writer.
-#: Whole-trace tolist() would hold every value of the trace as a Python
-#: object at once.
-_TRACE_CHUNK = 256
-
-
-class _Rows(list):
-    """The trace rows not yet written: floats appended to the list by the
-    Python loop, and rows in ``block`` (``count`` of them) written there by
-    the native one.  Both loops may fill one chunk, so the list is moved to
-    the block before the native loop writes and before the rows are read."""
-
-    def __init__(self, width):
-        super().__init__()
-        self.block = np.empty((_TRACE_CHUNK + 1, width))
-        self.count = 0
-
-    def _flush(self):
-        if self:
-            new = np.frombuffer(struct.pack(f"{len(self)}d", *self))
-            new = new.reshape(-1, self.block.shape[1])
-            self.block[self.count:self.count + len(new)] = new
-            self.count += len(new)
-            self.clear()
-
-    def tail(self, rows):
-        """The address the next row goes to, with room for ``rows`` rows."""
-        self._flush()
-        if self.count + rows > len(self.block):
-            raise ValueError(f"no room for {rows} rows after {self.count}")
-        return self.block.ctypes.data + self.count * self.block.strides[0]
-
-    def take(self):
-        """The rows, as a view of the block, which is then empty."""
-        self._flush()
-        rows, self.count = self.block[:self.count], 0
-        return rows
-
-
-def _write_rows(trace, rows, start, pieces, n):
-    """Write the buffered rows (x, x_r, theta_hat, e, edot_hat, u each) from
-    row ``start`` on, with their true parameter; returns the next row to
-    write."""
-    block = rows.take()
-    stop = start + block.shape[0]
-    hi = stop
-    for first, theta in reversed(pieces):   # (first row, theta) of each piece
-        if hi <= start:
-            break
-        trace["theta"][max(first, start):hi] = theta
-        hi = first
-    trace["x"][start:stop] = block[:, :n]
-    trace["x_r"][start:stop] = block[:, n:2 * n]
-    trace["theta_hat"][start:stop] = block[:, 2 * n:3 * n]
-    trace["e"][start:stop] = block[:, 3 * n]
-    trace["edot_hat"][start:stop] = block[:, 3 * n + 1]
-    trace["u"][start:stop] = block[:, 3 * n + 2]
-    return stop
-
-
 def run(cfg, on_rows=None):
     """Simulate one closed-loop run; deterministic given config and seed.
 
     Per row k: e and its rate estimate, event detection, the onset's
     reinitialization or the recovery's phase close, the row's bookkeeping,
-    then the RK4 step to row k + 1.  The rows between two events, schedule
-    pieces or trace chunks run in a compiled ``segment``; this loop handles
-    what happens at their ends.
+    then the RK4 step to row k + 1.  The rows between two events or
+    schedule pieces run in a compiled ``segment``, which writes them into
+    the trace arrays; this loop handles what happens at their ends.  (The
+    Python loop also returns every ``_TRACE_CHUNK`` rows.)
 
-    ``on_rows(trace, stop)``, if given, is called each time a chunk of rows
-    has landed in the trace arrays, every column of rows [0, stop) final,
-    and once more at the end with the whole trace, cut short after a
+    ``on_rows(trace, stop)``, if given, is called at each return of a
+    segment before the horizon, every column of rows [0, stop) final, and
+    once more at the end with the whole trace, cut short after a
     divergence; it sees the arrays the result returns.
     """
     ctrl, ref = build_controller(cfg)
@@ -938,9 +918,7 @@ def run(cfg, on_rows=None):
         "Eu": np.zeros(N + 1, dtype=np.int8),
         "Ed": np.zeros(N + 1, dtype=np.int8),
     }
-    rows = _Rows(3 * n + 3)     # the rows not yet written to the trace
-    written = 0
-    pieces = []         # (first step, theta) of each schedule piece reached
+    columns = [trace[key] for key in _TRACE_COLUMNS]
     next_start = -math.inf   # theta_at runs again once t reaches this
 
     # coupled state as a list of floats: x, x_r, theta_hat, then the flat
@@ -948,7 +926,6 @@ def run(cfg, on_rows=None):
     y = cfg.x0.tolist() + cfg.x0.tolist() + cfg.theta_hat0.tolist()
     att.e_prev = att.e_track = y[iy] - y[n + iy]
     status, error, error_step = "ok", None, None
-    steps_done = N
 
     k = 0
     e = y[iy] - y[n + iy]
@@ -959,7 +936,6 @@ def run(cfg, on_rows=None):
         if next_start <= t:
             theta = theta_at(schedule, t)
             next_start = _next_piece_start(schedule, t)
-            pieces.append((k, theta))
             theta_floats = theta.tolist()
         e_u, e_d, att_flag = flags
 
@@ -1008,35 +984,34 @@ def run(cfg, on_rows=None):
                 phase_reports.append(report)
 
         if k == N:
-            rows += y[:3 * n]
-            rows += (e, edot, stepper.control()(y))
+            _land(columns, [*y[:3 * n], e, edot, stepper.control()(y)], N)
+            trace["theta"][N] = theta
             break
-        if k - written == _TRACE_CHUNK:
-            written = _write_rows(trace, rows, written, pieces, n)
-            if on_rows is not None:
-                on_rows(trace, written)
         segment = stepper.segment(sens.active, exact_sens, True, N - k)
         peak, E = ((open_phase.peak_abs_e, open_phase.E_phase) if tracking
                    else (0.0, 0.0))
+        start = k
         exc, k, e, edot, flags, peak, E, y = segment(
-            y, theta_floats, k, min(written + _TRACE_CHUNK, N), next_start, e, edot,
-            peak, E, tracking, rows, att, sens, check_bounded,
+            y, theta_floats, k, N, next_start, e, edot, peak, E, tracking, columns, att,
+            sens, check_bounded,
         )
+        # the segment's rows, the failed one included, share row start's piece
+        trace["theta"][start:k + (exc is not None)] = theta
         if tracking:
             open_phase.peak_abs_e, open_phase.E_phase = peak, E
         if exc is not None:
             status = "diverged"
             error = str(exc)
             error_step = k
-            steps_done = k
             break
+        if on_rows is not None and k < N:
+            on_rows(trace, k)
 
-    _write_rows(trace, rows, written, pieces, n)
     if status == "diverged":
         for key in trace:
-            trace[key] = trace[key][:steps_done + 1]
+            trace[key] = trace[key][:error_step + 1]
     if on_rows is not None:
-        on_rows(trace, steps_done + 1)
+        on_rows(trace, len(trace["t"]))
 
     if sens.active:
         # phase never closed before the horizon: no weight update, log it

@@ -1,6 +1,7 @@
 """The native run loop: its C text, its build and cache, and its bits
 against the Python loop's."""
 
+import math
 import os
 import stat
 import subprocess
@@ -11,8 +12,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from preadaptive_control import default_config, grad_check, native, run, simengine
+from preadaptive_control import (AttentionState, default_config, grad_check, native, run,
+                                 simengine)
 from preadaptive_control.cli import load_scenario
+from preadaptive_control.dynamics import check_bounded
 from preadaptive_control.simengine import _Stepper, build_controller
 
 from conftest import (SHIPPED_ROWS, assert_no_child_left, bits, both_loops, native_rows,
@@ -73,6 +76,100 @@ def test_frozen_steps_equal_under_both_loops():
     fast, slow = both_loops(lambda: [stepper.step(y, [1.0, 2.0, 3.0], True, exact, k=77)
                                      for exact in (False, True)])
     assert bits(fast) == bits(slow)
+
+
+# --------------------------------------------------------------------------
+# the trace columns, and where a segment returns
+
+def _columns(rows, n=3):
+    """Trace columns (``simengine._TRACE_COLUMNS``) of ``rows`` rows, all 7.0."""
+    return ([np.full((rows, n), 7.0) for _ in range(3)]
+            + [np.full(rows, 7.0) for _ in range(3)])
+
+
+@pytest.mark.parametrize("fault", ["short", "strided", "float32", "too_few"])
+def test_the_native_segment_refuses_columns_it_could_write_past(fault, compiler):
+    # the C loop writes row k at index k of each column: a column without
+    # room for the segment's rows, not C-contiguous or not float64 is
+    # refused before the C runs, and nothing is written
+    if not compiler:
+        pytest.skip("the native loop is not built in this session")
+    cfg = default_config(1)
+    segment = _Stepper(cfg, *build_controller(cfg)).segment(False, False, True)
+    assert is_native(segment)
+    rows = 300
+
+    def call(columns):
+        return segment([0.0] * 9, [0.1] * 3, 0, rows, math.inf, 0.0, 0.0, 0.0, 0.0,
+                       False, columns, AttentionState(), None, check_bounded)
+
+    good = _columns(rows)
+    assert call(good)[1] == rows and not (good[3] == 7.0).any()
+    columns = _columns(rows)
+    if fault == "short":
+        columns[4] = columns[4][:rows - 1]
+    elif fault == "strided":
+        columns[1] = np.full((rows, 6), 7.0)[:, ::2]
+    elif fault == "float32":
+        columns[5] = columns[5].astype(np.float32)
+    else:
+        columns.pop()
+    before = bits(columns)
+    with pytest.raises(ValueError, match="trace columns"):
+        call(columns)
+    assert bits(columns) == before
+
+
+def _segment_spans(monkeypatch, cfg):
+    """(entry row, return row) of each segment ``run(cfg)`` enters, the run,
+    and whether every segment was the native one."""
+    spans, natives = [], []
+    real = simengine._Loop.segment
+
+    def segment(loop, rows_left):
+        fn = real(loop, rows_left)
+        natives.append(is_native(fn))
+
+        def counted(y, theta, k, *args):
+            out = fn(y, theta, k, *args)
+            spans.append((k, out[1]))
+            return out
+
+        return counted
+
+    monkeypatch.setattr(simengine._Loop, "segment", segment)
+    res = run(cfg)
+    return spans, res, all(natives)
+
+
+def test_a_native_run_returns_only_at_pieces_and_events(compiler, monkeypatch):
+    if not compiler:
+        pytest.skip("the native loop is not built in this session")
+    cfg = default_config(1)
+    spans, res, all_native = _segment_spans(monkeypatch, cfg)
+    assert all_native
+    assert len(spans) <= len(cfg.schedule.pieces) + len(res.events) + 1
+    assert spans[-1][1] == cfg.num_steps
+
+
+def test_the_python_loop_returns_on_multiples_of_the_chunk(monkeypatch):
+    # it keeps at most one chunk of rows as floats: it returns at every
+    # multiple of _TRACE_CHUNK, and otherwise only at pieces, events and
+    # the horizon
+    chunk = simengine._TRACE_CHUNK
+    cfg = default_config(1)
+    with monkeypatch.context() as mp:
+        python_loop(mp)
+        spans, res, all_native = _segment_spans(mp, cfg)
+    simengine._compile.cache_clear()
+    assert not all_native
+    N = cfg.num_steps
+    ends = {end for _, end in spans}
+    pieces = {round(t / cfg.dt) for t in cfg.schedule.jump_times}
+    events = {round(t / cfg.dt) for t, _ in res.events}
+    assert set(range(chunk, N, chunk)) <= ends
+    assert ends <= set(range(chunk, N, chunk)) | pieces | events | {N}
+    assert all(end - k <= chunk for k, end in spans)
 
 
 # --------------------------------------------------------------------------

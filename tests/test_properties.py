@@ -1,9 +1,11 @@
 """Property tests of the run loop's event bookkeeping on random schedules
 and random plants.
 
-The compiled run loop returns to Python at events, schedule pieces and
-256-row trace chunks; jumps are drawn both anywhere on the dt grid and on
-chunk boundaries, so these edges meet in every combination.
+The compiled run loop returns to Python at events and schedule pieces, and
+the Python form of the loop also at every 256-row trace chunk, where it
+lands its rows in the trace arrays; jumps are drawn both anywhere on the dt
+grid and on chunk boundaries, so that wherever the Python loop runs these
+edges meet in every combination.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from preadaptive_control import (
@@ -319,11 +321,31 @@ def learner_configs(draw):
     return replace(cfg, preadapt=pre, theta_hat0=theta_hat0)
 
 
+#: A drawn 4-state plant whose learner run closes a phase at row 1829 and
+#: updates the weights: the draws alone seldom close one
+CLOSES_A_PHASE = RunConfig(
+    plant=PlantConfig(A=np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                                  [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+                      B=np.array([0.0, 0.0, 0.0, 1.0]), B1r=np.array([0.0, 0.0, 0.0, 1.0]),
+                      output_index=2),
+    schedule=ThetaSchedule(pieces=[(0.0, [0.0] * 4), (0.001, [0.0, 0.0, 1.0, 1.0])],
+                           horizon=2.0),
+    attention=AttentionConfig(c_e=0.0022646002006282296, c_ed=0.0018449128902567778,
+                              omega_n=3.0, zeta=1.0),
+    preadapt=PreadaptSettings(enabled=True, learner_enabled=True,
+                              gradient_mode=GradientMode.EXACT),
+    dt=DT)
+
+
 @settings(max_examples=10, deadline=None)
 @given(cfg=learner_configs())
+@example(cfg=CLOSES_A_PHASE)
 def test_learner_runs_equal_under_both_loops_on_random_plants(cfg):
     fast, slow = both_loops(lambda: run(cfg))
-    target(float(len(fast.phase_reports)), label="phases")
+    target(float(sum(p.recovered for p in fast.phases)), label="closed phases")
+    if cfg is CLOSES_A_PHASE:
+        assert [(p.step_d, r["updated"]) for p, r in zip(fast.phases, fast.phase_reports)] \
+            == [(1829, True)]
     target(float(fast.status == "diverged"), label="diverged")
     assert bits(fast) == bits(slow)
     _check_steps_and_reference(fast)
