@@ -11,14 +11,9 @@ Exit codes: 0 ok, 2 config error (an offline solve that fails included),
 
 import argparse
 import contextlib
-import math
 import numbers
 import os
-import shutil
-import signal
 import sys
-import tempfile
-import traceback
 from collections import namedtuple
 from functools import partial
 from operator import attrgetter
@@ -27,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import tracefmt
 from .attention import AttentionConfig
 from .dynamics import PlantConfig, ThetaSchedule
 from .errors import ConfigError, DivergenceError, SolverError
@@ -333,175 +329,41 @@ def _write_chunks(f, trace, lo, hi):
                         % tuple(values[r * width:s * width]))
 
 
-def _write_part_in_child(tmp, trace, lo, hi):
-    """Body of a forked part writer: format rows [lo, hi) into tmp, then _exit.
-
-    os._exit skips the parent's stdio buffers and atexit hooks, which the
-    child inherited and must not flush or run.  The child only slices numpy
-    arrays and formats strings: it calls no BLAS routine and takes no lock
-    that another thread of the parent could have held at the fork.
-    """
-    code = 1
-    try:
-        _write_chunks(tmp, trace, lo, hi)
-        tmp.flush()
-        code = 0
-    except Exception as exc:
-        traceback.print_exc()
-        # the part is void: its file carries the reason to the parent instead,
-        # written past the text layer, whose buffer may be what failed
-        with contextlib.suppress(Exception):
-            os.ftruncate(tmp.fileno(), 0)
-            os.pwrite(tmp.fileno(), f"{type(exc).__name__}: {exc}".encode(), 0)
-    finally:
-        os._exit(code)
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _PartFailed(RuntimeError):
-    """A forked part writer exited with a failure status."""
-
-
-#: chunks a part formatted while the run steps holds at least, about 14 ms
-#: of formatting, so that a fork and its copy-on-write faults in the running
-#: parent stay small beside the part
-_MIN_PART_CHUNKS = 8
-
-
-def _part_rows(rows, cpus):
-    """Rows a part formatted while the run steps holds at least."""
-    if cpus < 2:
-        return math.inf
-    chunks = -(-rows // _TRACE_CHUNK)
-    return max(_MIN_PART_CHUNKS, round(2 * math.sqrt(chunks))) * _TRACE_CHUNK
-
-
 class _TraceCsv:
-    """``run``'s ``on_rows``: formats a trace's rows into ``f`` as they land.
+    """``run``'s ``on_rows``: writes an n-state trace's rows into ``f`` as
+    they land, in Python (``_write_chunks``) until the rows formatted there
+    repay the C formatter (``tracefmt.FORMATTER``), then in C, through one
+    reused buffer; the bytes are the same."""
 
-    With more than one CPU, each time enough rows have landed and no part
-    writer is busy, a forked part writer formats them, from its
-    copy-on-write view of the trace arrays, into an unnamed temporary file in
-    ``directory``; the parent appends each finished part in row order.  The
-    parts are sized from the trace's length, so that a run forks a few times
-    and the rows left when it ends are few.  ``finish`` splits those rows
-    between the parent and one forked writer per further CPU.  The bytes do
-    not depend on the CPU count.
-    """
-
-    def __init__(self, f, directory):
-        self.f = f
-        self.directory = directory
-        self.cpus = _cpu_count() if hasattr(os, "fork") else 1
-        self.trace = None
-        self.done = 0       # rows handed to a part
-        self.parts = []     # [pid, file, lo, hi] in row order, not yet
-        #                     appended; pid None: reaped, or the parent's
-        self.part_rows = None
+    def __init__(self, f, n):
+        self.f, self.n = f, n
+        self.done = 0       # rows written
+        self.buffer = None
 
     def __call__(self, trace, stop):
-        self.trace = trace
-        if self.part_rows is None:
-            self.part_rows = _part_rows(len(trace["t"]), self.cpus)
-        self._append(block=False)
-        # the rows of the last call are left to finish, which splits them
-        if (not self.parts and stop - self.done >= self.part_rows
-                and stop < len(trace["t"])):
-            self._fork(stop)
-
-    def _fork(self, hi):
-        """Hand rows [done, hi) to a forked part writer."""
-        lo, self.done = self.done, hi
-        tmp = tempfile.TemporaryFile("w+", dir=self.directory)
-        try:
-            pid = os.fork()
-        except BaseException:
-            tmp.close()
-            raise
-        if pid == 0:
-            _write_part_in_child(tmp, self.trace, lo, hi)
-        self.parts.append([pid, tmp, lo, hi])
-
-    def _append(self, block):
-        """Append the parts in row order while they are done; ``block``: wait
-        for each."""
-        while self.parts:
-            pid, tmp, lo, hi = self.parts[0]
-            if pid is not None:
-                reaped, status = os.waitpid(pid, 0 if block else os.WNOHANG)
-                if not reaped:
-                    return
-                self.parts[0][0] = None
-                if status != 0:
-                    code = os.waitstatus_to_exitcode(status)
-                    message = f"trace writer of rows {lo}-{hi} exited with status {code}"
-                    if code == 1:   # its own failure, whose reason it left
-                        message += ": " + os.pread(tmp.fileno(), 500, 0).decode(
-                            errors="replace")
-                    raise _PartFailed(message)
-            # copied a buffer at a time, so the parent never holds a part
-            self.f.flush()
-            tmp.seek(0)
-            shutil.copyfileobj(tmp.buffer, self.f.buffer)
-            tmp.close()
-            del self.parts[0]
-
-    def finish(self):
-        """Format the rows not yet handed to a part and append every part.
-
-        The parent formats the first of the remaining parts, straight into
-        ``f`` unless a part before it is still being written.
-        """
-        rows = len(self.trace["t"])
-        lo = self.done
-        chunks = -(-(rows - lo) // _TRACE_CHUNK)
-        parts = max(1, min(self.cpus, chunks))
-        edges = [min(rows, lo + k * chunks // parts * _TRACE_CHUNK)
-                 for k in range(parts + 1)]
-        self._append(block=False)
-        ahead = len(self.parts)
-        self.done = edges[1]
-        for hi in edges[2:]:
-            self._fork(hi)
-        if ahead:
-            tmp = tempfile.TemporaryFile("w+", dir=self.directory)
-            self.parts.insert(ahead, [None, tmp, lo, edges[1]])
-            _write_chunks(tmp, self.trace, lo, edges[1])
-        else:
-            _write_chunks(self.f, self.trace, lo, edges[1])
-        self._append(block=True)
-
-    def close(self):
-        """Kill and reap the part writers still running; drop their files."""
-        for pid, tmp, _, _ in self.parts:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            tmp.close()
-        self.parts.clear()
+        formatter = tracefmt.FORMATTER
+        while self.done < stop:
+            lo = self.done
+            c = formatter.choose(len(trace["t"]) - lo)
+            if c is None:
+                self.done = min(stop, lo + _TRACE_CHUNK)
+                _write_chunks(self.f, trace, lo, self.done)
+                formatter.rows += self.done - lo
+            else:
+                if self.buffer is None:
+                    self.buffer = tracefmt.buffer(self.n)
+                self.f.flush()      # the text written before goes first
+                c.write(self.f.buffer, trace, self.n, lo, stop, self.buffer)
+                self.done = stop
 
 
 @contextlib.contextmanager
 def _trace_csv(path, n):
-    """``on_rows`` for ``run`` that writes the trace to ``path``.
-
-    ``path`` is replaced when the block succeeds; when it raises, the part
-    writers are killed and reaped and no file is left.
-    """
+    """``on_rows`` for ``run`` that writes the trace to ``path``, which is
+    replaced when the block succeeds; when it raises, no file is left."""
     with _replaced_on_success(path) as f:
         f.write(_trace_header(n))
-        writer = _TraceCsv(f, Path(path).parent)
-        try:
-            yield writer
-            writer.finish()
-        finally:
-            writer.close()
+        yield _TraceCsv(f, n)
 
 
 def write_trace_csv(result, path):
@@ -588,7 +450,7 @@ def cmd_run(args):
         with _trace_csv(out / "trace.csv", cfg.plant.n) as on_rows:
             result = run(cfg, on_rows=on_rows)
         write_summary(result, out / "summary.yaml")
-    except (OSError, _PartFailed) as exc:   # a run's own errors pass through
+    except OSError as exc:   # a run's own errors pass through
         return _output_failed(exc)
     if result.status == "diverged":
         print(f"error: divergence at step {result.error_step}: {result.error}",

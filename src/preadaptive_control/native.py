@@ -133,6 +133,14 @@ def statements(lines, drop=()):
 # --------------------------------------------------------------------------
 # build, cache and load
 
+def repaid(rows, threshold, rows_left):
+    """Whether ``rows`` done in Python repay a native step that costs about
+    ``threshold`` of them: once as many are done, and as many are left for
+    the native code to do instead, or twice as many are done (a caller that
+    works in short stretches then repays it over the stretches to come)."""
+    return rows >= threshold and (rows_left >= threshold or rows >= 2 * threshold)
+
+
 class BuildError(Exception):
     """Why there is no native build."""
 

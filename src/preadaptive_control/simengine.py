@@ -692,13 +692,10 @@ class _Loop:
         if self.native is not None:
             return self.native
 
-        def repaid(rows):
-            return self.rows >= rows and (rows_left >= rows or self.rows >= 2 * rows)
-
-        build = repaid(_BUILD_ROWS[self.flags[0]])
+        build = native.repaid(self.rows, _BUILD_ROWS[self.flags[0]], rows_left)
+        look = native.repaid(self.rows, _LOOKUP_ROWS, rows_left)
         # one look in the cache, then, if it missed, one build
-        if (self.native_error is None and repaid(_LOOKUP_ROWS)
-                and (self.c_source is None or build)):
+        if self.native_error is None and look and (self.c_source is None or build):
             try:
                 if self.c_source is None:
                     native.compiler()   # no C text is made without one

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from preadaptive_control import build_b747, default_config, native, run, simengine
+from preadaptive_control import build_b747, default_config, native, run, simengine, tracefmt
 from preadaptive_control.simengine import build_controller
 
 #: A compiler command that does not exist: the run loops are Python's.
@@ -13,14 +13,15 @@ NO_CC = "preadapt-no-cc"
 
 def pytest_addoption(parser):
     parser.addoption("--python-loop", action="store_true",
-                     help="hide the C compiler, so that every run loop is the "
-                          "Python one")
+                     help="hide the C compiler, so that every run loop and the "
+                          "trace formatter are the Python ones")
 
 
 @pytest.fixture(scope="session", autouse=True)
 def native_cache(tmp_path_factory, pytestconfig):
-    """The native loops build into this session's own cache directory, at
-    each loop's first use, and with --python-loop not at all."""
+    """The native loops and the trace formatter build into this session's
+    own cache directory, at their first use, and with --python-loop not at
+    all."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         eager_native(mp)
@@ -43,10 +44,32 @@ def native_rows(monkeypatch, lookup, build):
 
 
 def eager_native(monkeypatch):
-    """From here on (until monkeypatch undoes it) a loop looks for and
-    builds its native object at its first use, not once its Python loop has
-    stepped enough rows to repay them."""
+    """From here on (until monkeypatch undoes it) a loop, and the trace
+    formatter, look for and build their native object at their first use,
+    not once their Python code has done enough rows to repay them."""
     native_rows(monkeypatch, 0, {False: 0, True: 0})
+    monkeypatch.setattr(tracefmt, "_LOOKUP_ROWS", 0)
+    monkeypatch.setattr(tracefmt, "_BUILD_ROWS", 0)
+
+
+#: The Python rows after which the trace formatter looks for its native
+#: object, and after which it builds one, as shipped.
+SHIPPED_FORMAT_ROWS = tracefmt._LOOKUP_ROWS, tracefmt._BUILD_ROWS
+
+
+def formatter(monkeypatch, rows):
+    """From here on (until monkeypatch undoes it) trace text is formatted by
+    a fresh ``tracefmt.Formatter``, which looks for and builds the C
+    formatter after ``rows`` (lookup, build) rows formatted in Python, or
+    with ``rows`` None formats in Python only."""
+    fresh = tracefmt.Formatter()
+    if rows is None:
+        fresh.native_error = "the Python formatter was asked for"
+    else:
+        monkeypatch.setattr(tracefmt, "_LOOKUP_ROWS", rows[0])
+        monkeypatch.setattr(tracefmt, "_BUILD_ROWS", rows[1])
+    monkeypatch.setattr(tracefmt, "FORMATTER", fresh)
+    return fresh
 
 
 def python_loop(monkeypatch):
@@ -83,6 +106,29 @@ def both_loops(fn):
         slow = fn()
     simengine._compile.cache_clear()
     return fast, slow
+
+
+@pytest.fixture(scope="session")
+def compiler(pytestconfig):
+    """Whether this session's native loops and trace formatter are built."""
+    if pytestconfig.getoption("--python-loop"):
+        return False
+    try:
+        return bool(native.compiler())
+    except native.BuildError:
+        return False
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """An empty cache directory, and the system's compiler."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_CC", "cc")
+    try:
+        native.compiler()
+    except native.BuildError as exc:
+        pytest.skip(str(exc))
+    return tmp_path / "preadaptive-control"
 
 
 @pytest.fixture(scope="session")
@@ -135,17 +181,3 @@ def left_to_right_u(result):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def counting_forks(monkeypatch):
-    """os.fork, patched to record the pid each fork returns to the parent."""
-    real_fork = os.fork
-    forks = []
-
-    def counting_fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks

@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from preadaptive_control import (
 )
 from preadaptive_control import run as sim_run
 
-from conftest import assert_no_child_left, counting_forks
+from conftest import SHIPPED_FORMAT_ROWS, formatter
 
 
 def scenario_path(name):
@@ -270,62 +271,41 @@ def writer_traces():
     return {"ok": ok, "diverged": diverged}
 
 
-def _single_process_bytes(result, tmp_path, monkeypatch):
+def _python_bytes(result, tmp_path, monkeypatch):
+    """The bytes of ``result``'s trace.csv as ``_write_chunks`` formats it."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_cpu_count", lambda: 1)
-        cli.write_trace_csv(result, tmp_path / "ref.csv")
-    return (tmp_path / "ref.csv").read_bytes()
+        formatter(m, None)
+        cli.write_trace_csv(result, tmp_path / "python.csv")
+    return (tmp_path / "python.csv").read_bytes()
+
+
+def _assert_python_rows(fmt, c, from_first_row, result):
+    """``fmt`` formatted every row of ``result`` in Python, or, with ``c``,
+    none (``from_first_row``) or some of them before it turned to the C."""
+    rows = len(result.trace["t"])
+    assert (fmt.native is not None) == bool(c)
+    if not c:
+        assert fmt.rows == rows
+    elif from_first_row:
+        assert fmt.rows == 0
+    else:
+        assert 0 < fmt.rows < rows
 
 
 @pytest.mark.parametrize("which", ["ok", "diverged"])
-def test_trace_csv_bytes_do_not_depend_on_part_count(writer_traces, which, tmp_path,
-                                                     monkeypatch):
+def test_trace_csv_bytes_do_not_depend_on_the_formatter(writer_traces, which, compiler,
+                                                        tmp_path, monkeypatch):
+    # in C from the first row where a compiler answers, else in Python
     res = writer_traces[which]
-    ref = _single_process_bytes(res, tmp_path, monkeypatch)
+    ref = _python_bytes(res, tmp_path, monkeypatch)
     assert ref.count(b"\n") == len(res.trace["t"]) + 1
-    chunks = -(-len(res.trace["t"]) // cli._TRACE_CHUNK)
-    forks = counting_forks(monkeypatch)
-    for cpus in (2, 3, chunks + 3):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        forks.clear()
-        out = tmp_path / f"cpus{cpus}"
-        out.mkdir()
-        cli.write_trace_csv(res, out / "trace.csv")
-        assert len(forks) == min(cpus, chunks) - 1
-        assert (out / "trace.csv").read_bytes() == ref
-        assert os.listdir(out) == ["trace.csv"]
-        assert_no_child_left()
-
-
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_trace_writer_failure_reaps_children(writer_traces, failing, tmp_path,
-                                             monkeypatch):
-    # the parent formats the part from row 0, each forked child a later part
-    real_write_chunks = cli._write_chunks
-
-    def write_chunks(f, trace, lo, hi):
-        if (lo == 0) == (failing == "parent"):
-            raise OSError(f"planted failure in the {failing}")
-        real_write_chunks(f, trace, lo, hi)
-
-    monkeypatch.setattr(cli, "_write_chunks", write_chunks)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-    expected = RuntimeError if failing == "child" else OSError
-    with pytest.raises(expected, match="exited with status 1|planted failure"):
-        cli.write_trace_csv(writer_traces["ok"], tmp_path / "trace.csv")
-    assert_no_child_left()
-    # neither a truncated trace.csv nor a temporary file is left
-    assert os.listdir(tmp_path) == []
-
-
-def test_trace_writer_without_fork_is_one_process(writer_traces, tmp_path,
-                                                  monkeypatch):
-    res = writer_traces["ok"]
-    ref = _single_process_bytes(res, tmp_path, monkeypatch)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
-    monkeypatch.delattr(os, "fork")
-    cli.write_trace_csv(res, tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == ref
+    fmt = formatter(monkeypatch, (0, 0))
+    out = tmp_path / "c"
+    out.mkdir()
+    cli.write_trace_csv(res, out / "trace.csv")
+    _assert_python_rows(fmt, compiler, True, res)
+    assert (out / "trace.csv").read_bytes() == ref
+    assert os.listdir(out) == ["trace.csv"]
 
 
 def test_write_chunks_formats_each_value_like_fmt(tmp_path):
@@ -396,7 +376,7 @@ DIVERGING = {"plant": "b747", "schedule": {"pieces": [
 @pytest.fixture(scope="module")
 def streamed_scenarios(tmp_path_factory):
     """The bundled scenario-1 learner file and a diverging one, each with
-    the bytes write_trace_csv gives its finished run in one process."""
+    the bytes write_trace_csv gives its finished run in Python."""
     path = tmp_path_factory.mktemp("streamed")
     (path / "diverging.yaml").write_text(yaml.safe_dump(DIVERGING))
     scenarios = {}
@@ -404,57 +384,81 @@ def streamed_scenarios(tmp_path_factory):
                             ("diverged", str(path / "diverging.yaml"))):
         res = sim_run(cli.load_scenario(scenario))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cli, "_cpu_count", lambda: 1)
-            cli.write_trace_csv(res, path / f"{which}.csv")
-        scenarios[which] = (scenario, res, (path / f"{which}.csv").read_bytes())
+            scenarios[which] = (scenario, res, _python_bytes(res, path, m))
     assert scenarios["learner"][1].status == "ok"
     assert scenarios["diverged"][1].status == "diverged"
     assert 20000 < len(scenarios["diverged"][1].trace["t"]) < 30001
     return scenarios
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+#: the rows after which the streamed trace's formatter looks for and builds
+#: the C: in Python only (1), in C from the first row (2), or, as shipped,
+#: in Python until its rows repay the C (3)
+STREAMED_FORMATTERS = {1: None, 2: (0, 0), 3: SHIPPED_FORMAT_ROWS}
+
+
+@pytest.mark.parametrize("formatted", STREAMED_FORMATTERS)
 @pytest.mark.parametrize("which", ["learner", "diverged"])
-def test_streamed_trace_equals_written_trace(streamed_scenarios, which, cpus, tmp_path,
-                                             monkeypatch):
+def test_streamed_trace_equals_written_trace(streamed_scenarios, which, formatted,
+                                             compiler, tmp_path, monkeypatch):
     scenario, res, ref = streamed_scenarios[which]
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    forks = counting_forks(monkeypatch)
-    forked_in_run = []
-    real_run = cli.run
-
-    def run(cfg, on_rows=None):
-        result = real_run(cfg, on_rows=on_rows)
-        forked_in_run.append(len(forks))
-        return result
-
-    monkeypatch.setattr(cli, "run", run)
+    fmt = formatter(monkeypatch, STREAMED_FORMATTERS[formatted])
     out = tmp_path / "o"
     code = cli.main(["run", scenario, "--out", str(out)])
     assert code == (cli.EXIT_OK if which == "learner" else cli.EXIT_DIVERGED)
     assert (out / "trace.csv").read_bytes() == ref
     assert ref.count(b"\n") == len(res.trace["t"]) + 1
     assert sorted(os.listdir(out)) == ["summary.yaml", "trace.csv"]
-    # with more CPUs than one, a part was forked while the run stepped
-    assert forked_in_run[0] >= 1 if cpus > 1 else forks == []
-    assert_no_child_left()
+    # the rows formatted in Python: all (also where the C is asked for and no
+    # compiler answers), none, or those before the switch
+    _assert_python_rows(fmt, formatted > 1 and compiler, formatted == 2, res)
 
 
-def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch, capsys):
+#: sha256 of each bundled file's trace.csv, as CI's bundled-outputs step
+#: checks it
+BUNDLED_SHA256 = {
+    path.split("/")[0]: digest
+    for digest, path in (line.split() for line in (
+        Path(__file__).resolve().parent.parent / ".github" / "bundled-outputs.sha256"
+    ).read_text().splitlines())
+    if path.endswith("/trace.csv")
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
+def test_bundled_traces_have_the_same_bytes_in_c_and_in_python(name, compiler, tmp_path,
+                                                               monkeypatch):
+    # the tier-1 counterpart of CI's bundled-outputs step: write_trace_csv
+    # and the streamed cmd_run give each bundled file's trace the bytes
+    # _write_chunks gives it
+    if not compiler:
+        pytest.skip("the trace formatter is not built in this session")
+    scenario = scenario_path(f"{name}.yaml")
+    res = sim_run(cli.load_scenario(scenario))
+    ref = _python_bytes(res, tmp_path, monkeypatch)
+    assert hashlib.sha256(ref).hexdigest() == BUNDLED_SHA256[name]
+    fmt = formatter(monkeypatch, (0, 0))
+    cli.write_trace_csv(res, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_bytes() == ref
+    out = tmp_path / "o"
+    assert cli.main(["run", scenario, "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "trace.csv").read_bytes() == ref
+    _assert_python_rows(fmt, True, True, res)
+
+
+def test_a_failing_write_mid_run_exits_5(short_scenario, tmp_path, monkeypatch, capsys):
+    # the trace's file fails while the run steps: the run stops, the exit is
+    # 5, and neither a partial trace.csv nor a temporary file is left
     out = tmp_path / "o"
     out.mkdir()
-    (out / "trace.csv").write_text("previous trace\n")
-    parent = os.getpid()
-    real_write_chunks = cli._write_chunks
-
-    def write_chunks(f, trace, lo, hi):
-        if os.getpid() != parent:
-            raise OSError("planted failure in a part writer")
-        real_write_chunks(f, trace, lo, hi)
-
+    real_call = cli._TraceCsv.__call__
     raised = []
     real_run = cli.run
-    real_fork = cli._TraceCsv._fork
+
+    def call(writer, trace, stop):
+        real_call(writer, trace, stop)
+        if stop >= 5000:
+            raise OSError("planted failure in a trace write")
 
     def run(cfg, on_rows=None):
         try:
@@ -463,53 +467,38 @@ def test_part_writer_failure_mid_run_exit(short_scenario, tmp_path, monkeypatch,
             raised.append(exc)
             raise
 
-    def fork(self, hi):
-        # the run may step its rows before a forked writer has failed: wait,
-        # without reaping it, until the writer has exited, so that the run's
-        # next chunk finds it
-        real_fork(self, hi)
-        os.waitid(os.P_PID, self.parts[-1][0], os.WEXITED | os.WNOWAIT)
-
-    monkeypatch.setattr(cli, "_write_chunks", write_chunks)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli._TraceCsv, "__call__", call)
     monkeypatch.setattr(cli, "run", run)
-    monkeypatch.setattr(cli._TraceCsv, "_fork", fork)
     assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OUTPUT
-    # the failed part stopped the run: it was seen while the run stepped
-    assert [type(exc) for exc in raised] == [cli._PartFailed]
-    assert "exited with status 1" in capsys.readouterr().err
-    assert os.listdir(out) == ["trace.csv"]
-    assert (out / "trace.csv").read_text() == "previous trace\n"
-    assert_no_child_left()
+    assert [type(exc) for exc in raised] == [OSError]   # raised while the run stepped
+    assert "planted failure in a trace write" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("error", [cli.ConfigError, LearnerError])
-def test_run_error_with_live_part_writers_keeps_its_exit(short_scenario, error, tmp_path,
-                                                         monkeypatch):
+def test_a_run_error_mid_trace_keeps_its_exit(short_scenario, error, tmp_path,
+                                              monkeypatch):
+    # rows are written when the run fails: its error keeps its own exit, and
+    # the previous trace.csv is left as it was, with no temporary file
     out = tmp_path / "o"
     out.mkdir()
     (out / "trace.csv").write_text("previous trace\n")
-    forks = counting_forks(monkeypatch)
     real_run = cli.run
 
     def run(cfg, on_rows=None):
         def rows_then_fail(trace, stop):
             on_rows(trace, stop)
-            if forks:   # a part writer was forked just now, or is done unreaped
-                raise error("planted failure in the run")
+            raise error("planted failure in the run")
         return real_run(cfg, on_rows=rows_then_fail)
 
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "run", run)
     if error is cli.ConfigError:
         assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_CONFIG
     else:   # not an exit code of its own: it stays an exception
         with pytest.raises(LearnerError, match="planted failure"):
             cli.main(["run", short_scenario, "--out", str(out)])
-    assert len(forks) == 1
     assert os.listdir(out) == ["trace.csv"]
     assert (out / "trace.csv").read_text() == "previous trace\n"
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing", ["trace", "summary"])
@@ -520,7 +509,7 @@ def test_cmd_run_output_failure_exit(short_scenario, failing, tmp_path, monkeypa
     (out / "trace.csv").write_text("previous trace\n")
     real_dump = cli.yaml.safe_dump
 
-    def failing_write_chunks(f, trace, lo, hi):
+    def failing_write(writer, trace, stop):
         raise OSError("planted failure in the trace writer")
 
     def failing_dump(doc, f, **kwargs):
@@ -528,7 +517,7 @@ def test_cmd_run_output_failure_exit(short_scenario, failing, tmp_path, monkeypa
         raise OSError("planted failure in the summary writer")
 
     if failing == "trace":
-        monkeypatch.setattr(cli, "_write_chunks", failing_write_chunks)
+        monkeypatch.setattr(cli._TraceCsv, "__call__", failing_write)
     else:
         monkeypatch.setattr(cli.yaml, "safe_dump", failing_dump)
     assert cli.main(["run", short_scenario, "--out", str(out)]) == cli.EXIT_OUTPUT

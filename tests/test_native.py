@@ -29,17 +29,6 @@ BUNDLED = {"scenario1_rac": 0, "scenario1_learner": 2, "scenario2_rac": 0,
 SOURCE = "int segment(double *y) { y[0] += 1.0; return 7; }\n"
 
 
-@pytest.fixture(scope="module")
-def compiler(pytestconfig):
-    """Whether this session's native loops are built."""
-    if pytestconfig.getoption("--python-loop"):
-        return False
-    try:
-        return bool(native.compiler())
-    except native.BuildError:
-        return False
-
-
 def is_native(segment):
     return segment.__qualname__.startswith("_native_segment")
 
@@ -212,18 +201,6 @@ def test_statements_refuse_what_they_cannot_write(line):
 
 # --------------------------------------------------------------------------
 # build, fallback and cache
-
-@pytest.fixture
-def cache(tmp_path, monkeypatch):
-    """An empty cache directory, and the system's compiler."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(native, "_CC", "cc")
-    try:
-        native.compiler()
-    except native.BuildError as exc:
-        pytest.skip(str(exc))
-    return tmp_path / "preadaptive-control"
-
 
 def _call(lib):
     import ctypes
